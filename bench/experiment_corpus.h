@@ -2,6 +2,7 @@
 #define LAAR_BENCH_EXPERIMENT_CORPUS_H_
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -55,9 +56,10 @@ inline runtime::HarnessOptions HarnessFromFlags(const Flags& flags) {
 }
 
 /// Runs the harness over `num_apps` usable seeds (instances where FT-Search
-/// proves some L.x infeasible are skipped, like the paper's corpus), fanning
-/// the applications out over `jobs` workers. Records are identical for any
-/// `jobs` value; see `runtime::RunCorpus`.
+/// proves some L.x infeasible are skipped, like the paper's corpus) on
+/// `jobs` threads. Records are identical for any `jobs` value; see
+/// `runtime::RunCorpus`. A failed run (a simulation or trace-write error)
+/// is reported and exits the process with status 1.
 inline std::vector<runtime::AppExperimentRecord> RunExperimentCorpus(
     const runtime::HarnessOptions& options, int num_apps, uint64_t seed_base,
     bool verbose = true, int jobs = 1) {
@@ -66,7 +68,12 @@ inline std::vector<runtime::AppExperimentRecord> RunExperimentCorpus(
   corpus.seed_base = seed_base;
   corpus.jobs = jobs;
   corpus.verbose = verbose;
-  return runtime::RunExperimentCorpus(options, corpus);
+  runtime::CorpusResult result = runtime::RunCorpus(options, corpus);
+  if (!result.status.ok()) {
+    std::fprintf(stderr, "corpus run failed: %s\n", result.status.ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(result.records);
 }
 
 /// Opt-in observability for the corpus benches, from shared flags:

@@ -153,28 +153,6 @@ double MetricsRegistry::MaxGauge(const std::string& name) const {
   return best;
 }
 
-size_t MetricsRegistry::PruneByLabel(const std::string& key,
-                                     const std::function<bool(const std::string&)>& keep) {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t removed = 0;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    bool drop = false;
-    for (const auto& [k, v] : it->second.labels) {
-      if (k == key && !keep(v)) {
-        drop = true;
-        break;
-      }
-    }
-    if (drop) {
-      it = entries_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
-  return removed;
-}
-
 size_t MetricsRegistry::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();

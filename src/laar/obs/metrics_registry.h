@@ -2,7 +2,6 @@
 #define LAAR_OBS_METRICS_REGISTRY_H_
 
 #include <atomic>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -123,14 +122,6 @@ class MetricsRegistry {
   /// exist). Used for corpus-level run summaries.
   double SumCounters(const std::string& name) const;
   double MaxGauge(const std::string& name) const;
-
-  /// Removes every entry carrying label `key` whose value fails `keep`;
-  /// entries without the label are untouched. Returns how many entries were
-  /// removed. Unlike the getters' pointers-stay-valid guarantee, pruning
-  /// invalidates pointers to the removed metrics — call it only at
-  /// quiescent points (e.g. after a corpus run retires speculative seeds).
-  size_t PruneByLabel(const std::string& key,
-                      const std::function<bool(const std::string&)>& keep);
 
   /// Serializes every metric, sorted by (name, labels), as
   /// {"metrics": [{"name", "labels", "type", ...}, ...]}. Deterministic for

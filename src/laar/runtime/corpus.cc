@@ -1,45 +1,14 @@
 #include "laar/runtime/corpus.h"
 
-#include <cctype>
+#include <atomic>
 #include <cstdio>
-#include <filesystem>
 #include <optional>
-#include <set>
-#include <string>
 #include <utility>
 
 #include "laar/common/stopwatch.h"
 #include "laar/exec/parallel.h"
 
 namespace laar::runtime {
-
-namespace {
-
-/// Drops trace files of seeds that did not make it into the corpus.
-/// Skipped seeds write partial traces, and the parallel fan-out probes
-/// seeds speculatively beyond the last kept one — without this sweep the
-/// trace directory's contents would depend on --jobs. Only files matching
-/// the harness's own "seed<digits>_*.json" naming are considered.
-void PruneUnusedSeedTraces(const std::string& trace_dir,
-                           const std::set<uint64_t>& kept_seeds) {
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(trace_dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("seed", 0) != 0) continue;
-    size_t pos = 4;
-    uint64_t seed = 0;
-    bool has_digits = false;
-    while (pos < name.size() && std::isdigit(static_cast<unsigned char>(name[pos]))) {
-      seed = seed * 10 + static_cast<uint64_t>(name[pos] - '0');
-      has_digits = true;
-      ++pos;
-    }
-    if (!has_digits || pos >= name.size() || name[pos] != '_') continue;
-    if (kept_seeds.count(seed) == 0) std::filesystem::remove(entry.path(), ec);
-  }
-}
-
-}  // namespace
 
 CorpusResult RunCorpus(const HarnessOptions& harness, const CorpusOptions& corpus) {
   CorpusResult result;
@@ -50,9 +19,10 @@ CorpusResult RunCorpus(const HarnessOptions& harness, const CorpusOptions& corpu
   HarnessOptions options = harness;
   std::optional<ThreadPool> pool;
   if (jobs > 1) {
-    pool.emplace(static_cast<size_t>(jobs));
-    // The pool is spent on the application fan-out; a parallel FT-Search
-    // inside a corpus worker would oversubscribe, so it drops to one
+    // `jobs` threads in all: ParallelFor adds the calling thread.
+    pool.emplace(static_cast<size_t>(jobs - 1));
+    // The pool is spent on the seed and simulation fan-outs; a parallel
+    // FT-Search inside a probe would oversubscribe, so it drops to one
     // thread.
     options.variants.ftsearch_threads = 1;
     options.variants.ftsearch_pool = nullptr;
@@ -64,15 +34,18 @@ CorpusResult RunCorpus(const HarnessOptions& harness, const CorpusOptions& corpu
     options.variants.ftsearch_pool = &*pool;
   }
 
-  std::vector<SeedProbe<AppExperimentRecord>> kept =
-      CollectUsableSeeds<AppExperimentRecord>(
+  // Phase 1: the usability step alone decides which seeds are kept. It
+  // writes no trace and publishes no metric, so surplus probes past the
+  // cut-off leave nothing behind.
+  std::vector<SeedProbe<PreparedExperiment>> kept =
+      CollectUsableSeeds<PreparedExperiment>(
           corpus.num_apps, corpus.seed_base, jobs, max_skips,
-          [&options](uint64_t seed) -> std::optional<AppExperimentRecord> {
-            Result<AppExperimentRecord> record = RunAppExperiment(options, seed);
-            if (!record.ok()) return std::nullopt;
-            return std::move(*record);
+          [&options](uint64_t seed) -> std::optional<PreparedExperiment> {
+            Result<PreparedExperiment> prepared = PrepareExperiment(options, seed);
+            if (!prepared.ok()) return std::nullopt;
+            return std::move(*prepared);
           },
-          [&corpus](size_t index, const SeedProbe<AppExperimentRecord>& probe) {
+          [&corpus](size_t index, const SeedProbe<PreparedExperiment>& probe) {
             if (!corpus.verbose) return;
             std::fprintf(stderr, "  [corpus] app %zu/%d (seed %llu)\n", index + 1,
                          corpus.num_apps,
@@ -80,26 +53,58 @@ CorpusResult RunCorpus(const HarnessOptions& harness, const CorpusOptions& corpu
           },
           jobs > 1 ? &*pool : nullptr, &result.skipped);
 
+  // Phase 2: every (app, variant, scenario) simulation in one flat fan-out.
+  // Each task folds its metrics into the fields its scenario owns and
+  // writes its seconds into its own slot, so no task waits on another.
+  struct Task {
+    size_t app;
+    size_t variant;
+    FailureScenario scenario;
+  };
+  const std::vector<FailureScenario> scenarios = HarnessScenarios(options);
+  std::vector<Task> tasks;
   result.records.reserve(kept.size());
-  std::set<uint64_t> kept_seeds;
-  for (SeedProbe<AppExperimentRecord>& probe : kept) {
-    kept_seeds.insert(probe.seed);
-    result.stage_totals.MergeFrom(probe.value.stages);
-    result.records.push_back(std::move(probe.value));
+  for (size_t a = 0; a < kept.size(); ++a) {
+    result.records.push_back(StartRecord(options, kept[a].value));
+    for (size_t v = 0; v < kept[a].value.variants.size(); ++v) {
+      for (FailureScenario scenario : scenarios) tasks.push_back({a, v, scenario});
+    }
   }
-  // Same jobs-invariance sweep for the registry: speculative seeds'
-  // metrics (labelled by seed) retire with them. Each surviving label set
-  // had a single writer, so what remains is identical for any jobs value.
-  if (!options.trace_dir.empty()) {
-    PruneUnusedSeedTraces(options.trace_dir, kept_seeds);
+  std::vector<double> seconds(tasks.size(), 0.0);
+  std::vector<Status> errors(tasks.size());
+  std::atomic<bool> failed{false};
+  auto run_task = [&](size_t i) {
+    if (failed) return;
+    const Task& task = tasks[i];
+    Result<double> ran =
+        RunVariantScenario(options, kept[task.app].value, task.variant, task.scenario,
+                           &result.records[task.app].variants[task.variant]);
+    if (!ran.ok()) {
+      errors[i] = ran.status();
+      failed = true;
+      return;
+    }
+    seconds[i] = *ran;
+  };
+  if (jobs > 1) {
+    pool->ParallelFor(tasks.size(), run_task);
+  } else {
+    for (size_t i = 0; i < tasks.size(); ++i) run_task(i);
   }
-  if (options.metrics != nullptr) {
-    std::set<std::string> kept_labels;
-    for (uint64_t seed : kept_seeds) kept_labels.insert(std::to_string(seed));
-    options.metrics->PruneByLabel("seed", [&kept_labels](const std::string& value) {
-      return kept_labels.count(value) != 0;
-    });
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    if (!errors[i].ok()) {
+      // A failed simulation or trace write is a configuration error, not
+      // an unusable seed: it ends the run instead of being skipped.
+      result.status = errors[i];
+      result.records.clear();
+      break;
+    }
+    result.records[tasks[i].app].stages.AddSimulate(tasks[i].scenario, seconds[i]);
   }
+  for (const AppExperimentRecord& record : result.records) {
+    result.stage_totals.MergeFrom(record.stages);
+  }
+
   result.wall_seconds = watch.ElapsedSeconds();
   if (corpus.verbose) {
     const StageTimes& s = result.stage_totals;
@@ -113,11 +118,6 @@ CorpusResult RunCorpus(const HarnessOptions& harness, const CorpusOptions& corpu
                  s.simulate_crash_seconds);
   }
   return result;
-}
-
-std::vector<AppExperimentRecord> RunExperimentCorpus(const HarnessOptions& harness,
-                                                     const CorpusOptions& corpus) {
-  return RunCorpus(harness, corpus).records;
 }
 
 }  // namespace laar::runtime

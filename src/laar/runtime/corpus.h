@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "laar/common/status.h"
 #include "laar/runtime/experiment.h"
 
 namespace laar::runtime {
@@ -15,10 +16,11 @@ struct CorpusOptions {
   int num_apps = 12;
   /// Seeds `seed_base + 1`, `seed_base + 2`, ... are probed in order.
   uint64_t seed_base = 10000;
-  /// Worker threads for the application-level fan-out: 1 = serial,
-  /// 0 = hardware concurrency. Any value produces identical records — with
-  /// `jobs > 1` seeds are probed speculatively in batches and the first
-  /// `num_apps` usable ones are kept in seed order, discarding surplus.
+  /// Threads in all for the corpus's two fan-outs: 1 = serial, 0 = hardware
+  /// concurrency. Any value produces identical records — with `jobs > 1`
+  /// seeds are probed with no batch barrier and the first `num_apps` usable
+  /// ones are kept in seed order, discarding the (at most `jobs - 1`)
+  /// surplus probes past the cut-off.
   int jobs = 1;
   /// Print per-application progress to stderr.
   bool verbose = true;
@@ -30,6 +32,10 @@ struct CorpusOptions {
 
 /// Everything a corpus run produces beyond the records themselves.
 struct CorpusResult {
+  /// Not OK when a simulation or a trace write failed (e.g. an unwritable
+  /// `trace_dir` or `runtime.shards = 0`); the run then ends with no
+  /// records. Unusable seeds are skipped, never reported here.
+  Status status;
   std::vector<AppExperimentRecord> records;
   /// Unusable seeds encountered before the corpus filled (surplus
   /// speculative probes are not counted).
@@ -45,17 +51,20 @@ struct CorpusResult {
 /// records are deterministic in (`harness`, `corpus.num_apps`,
 /// `corpus.seed_base`) and independent of `corpus.jobs`.
 ///
-/// Thread budget: with `jobs > 1` the runner owns one `laar::ThreadPool`
-/// and fans out whole applications; FT-Search inside each worker is forced
-/// to a single thread so the two levels never oversubscribe. With
-/// `jobs == 1` the applications run serially and
-/// `harness.variants.ftsearch_threads` may parallelize each search
-/// instead.
+/// Two phases. First `CollectUsableSeeds` probes seeds with the usability
+/// step alone (`PrepareExperiment`: generate, solve, build the trace) and
+/// keeps the first `num_apps` usable ones. Then every (kept app, variant,
+/// scenario) simulation runs as one task of a single flat fan-out
+/// (`RunVariantScenario`), so a slow application spreads over all threads
+/// instead of holding one.
+///
+/// Thread budget: with `jobs > 1` the runner owns one `laar::ThreadPool` of
+/// `jobs - 1` workers, which with the calling thread makes `jobs` threads
+/// for both phases; FT-Search inside a probe is forced to a single thread
+/// so the two levels never oversubscribe. With `jobs == 1` everything runs
+/// serially and `harness.variants.ftsearch_threads` may parallelize each
+/// search instead.
 CorpusResult RunCorpus(const HarnessOptions& harness, const CorpusOptions& corpus);
-
-/// Convenience wrapper returning only the records.
-std::vector<AppExperimentRecord> RunExperimentCorpus(const HarnessOptions& harness,
-                                                     const CorpusOptions& corpus);
 
 }  // namespace laar::runtime
 

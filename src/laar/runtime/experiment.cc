@@ -188,6 +188,10 @@ Result<dsps::SimulationMetrics> RunScenario(const appgen::GeneratedApplication& 
 
 namespace {
 
+std::string SeedLabel(uint64_t seed) {
+  return StrFormat("%llu", static_cast<unsigned long long>(seed));
+}
+
 /// Mean sink output rate over the High segments of the trace.
 double PeakOutputRate(const dsps::SimulationMetrics& metrics, const dsps::InputTrace& trace,
                       model::ConfigId high) {
@@ -225,143 +229,172 @@ const VariantMeasurement* AppExperimentRecord::Find(const std::string& name) con
   return nullptr;
 }
 
-Result<AppExperimentRecord> RunAppExperiment(const HarnessOptions& options, uint64_t seed) {
-  AppExperimentRecord record;
-  record.app_seed = seed;
+void StageTimes::AddSimulate(FailureScenario scenario, double seconds) {
+  switch (scenario) {
+    case FailureScenario::kNone:
+      simulate_best_seconds += seconds;
+      return;
+    case FailureScenario::kWorstCase:
+      simulate_worst_seconds += seconds;
+      return;
+    case FailureScenario::kHostCrash:
+      simulate_crash_seconds += seconds;
+      return;
+    case FailureScenario::kDomainOutage:
+      simulate_domain_seconds += seconds;
+      return;
+  }
+}
+
+Result<PreparedExperiment> PrepareExperiment(const HarnessOptions& options, uint64_t seed) {
+  PreparedExperiment prepared;
+  prepared.seed = seed;
   Stopwatch stage_watch;
-  LAAR_ASSIGN_OR_RETURN(appgen::GeneratedApplication app,
-                        appgen::GenerateApplication(options.generator, seed));
-  record.stages.generate_seconds = stage_watch.ElapsedSeconds();
+  LAAR_ASSIGN_OR_RETURN(prepared.app, appgen::GenerateApplication(options.generator, seed));
+  prepared.stages.generate_seconds = stage_watch.ElapsedSeconds();
 
   stage_watch.Restart();
-  LAAR_ASSIGN_OR_RETURN(std::vector<NamedVariant> variants,
-                        BuildVariants(app, options.variants));
-  record.stages.solve_seconds = stage_watch.ElapsedSeconds();
+  LAAR_ASSIGN_OR_RETURN(prepared.variants, BuildVariants(prepared.app, options.variants));
+  prepared.stages.solve_seconds = stage_watch.ElapsedSeconds();
 
   stage_watch.Restart();
   LAAR_ASSIGN_OR_RETURN(
-      dsps::InputTrace trace,
-      MakeExperimentTrace(app.descriptor.input_space, options.trace_seconds,
+      prepared.trace,
+      MakeExperimentTrace(prepared.app.descriptor.input_space, options.trace_seconds,
                           options.high_fraction, options.trace_cycles));
-  record.stages.generate_seconds += stage_watch.ElapsedSeconds();
-  const model::ConfigId high = app.descriptor.input_space.PeakConfig();
-  const std::string seed_label = StrFormat("%llu", static_cast<unsigned long long>(seed));
+  prepared.stages.generate_seconds += stage_watch.ElapsedSeconds();
+  return prepared;
+}
 
-  // Runs one scenario, with per-experiment tracing and registry publishing
-  // when the harness asks for them. The recorder is local to this call (and
-  // hence to the corpus worker running this seed), which keeps the trace
-  // files byte-identical for any --jobs value.
-  auto run_observed =
-      [&](const NamedVariant& variant,
-          const ScenarioOptions& scenario) -> Result<dsps::SimulationMetrics> {
-    dsps::RuntimeOptions runtime = options.runtime;
-    std::optional<obs::TraceRecorder> recorder;
-    if (!options.trace_dir.empty()) {
-      obs::TraceRecorder::Options trace_options;
-      trace_options.capacity = options.trace_capacity;
-      trace_options.categories = options.trace_categories;
-      recorder.emplace(trace_options);
-      runtime.trace_recorder = &*recorder;
-    }
-    const obs::MetricsRegistry::Labels scenario_labels = {
-        {"seed", seed_label},
-        {"variant", variant.name},
-        {"scenario", FailureScenarioName(scenario.scenario)}};
-    if (options.metrics != nullptr && options.record_timeseries) {
-      runtime.telemetry = options.metrics;
-      runtime.telemetry_period_seconds = options.telemetry_period_seconds;
-      runtime.telemetry_capacity = options.telemetry_capacity;
-      runtime.telemetry_labels = scenario_labels;
-    }
-    std::optional<obs::LatencyTracer> tracer;
-    if (options.metrics != nullptr && options.latency_sample_rate > 0.0) {
-      obs::LatencyTracer::Options tracer_options;
-      tracer_options.sample_rate = options.latency_sample_rate;
-      tracer_options.seed = options.latency_seed;
-      tracer.emplace(tracer_options);
-      runtime.latency_tracer = &*tracer;
-    }
-    LAAR_ASSIGN_OR_RETURN(dsps::SimulationMetrics metrics,
-                          RunScenario(app, variant.strategy, trace, runtime, scenario));
-    if (recorder.has_value()) {
-      const std::string path =
-          StrFormat("%s/seed%s_%s_%s.json", options.trace_dir.c_str(),
-                    seed_label.c_str(), variant.name.c_str(),
-                    FailureScenarioName(scenario.scenario));
-      LAAR_RETURN_IF_ERROR(json::WriteFile(
-          obs::ToChromeTraceJson(*recorder, tracer.has_value() ? &*tracer : nullptr),
-          path));
-    }
-    if (options.metrics != nullptr) {
-      dsps::PublishTo(options.metrics, metrics, scenario_labels);
-      if (tracer.has_value()) {
-        obs::PublishBreakdown(options.metrics, tracer->Breakdown(), scenario_labels);
-      }
-    }
-    return metrics;
-  };
-
-  for (const NamedVariant& variant : variants) {
+AppExperimentRecord StartRecord(const HarnessOptions& options,
+                                const PreparedExperiment& prepared) {
+  AppExperimentRecord record;
+  record.app_seed = prepared.seed;
+  record.stages = prepared.stages;
+  for (const NamedVariant& variant : prepared.variants) {
     VariantMeasurement measurement;
     measurement.variant = variant.name;
-    measurement.promised_ic =
-        variant.search.has_value() ? variant.search->best_ic : 0.0;
+    measurement.promised_ic = variant.search.has_value() ? variant.search->best_ic : 0.0;
+    record.variants.push_back(std::move(measurement));
     if (options.metrics != nullptr && variant.search.has_value()) {
       ftsearch::PublishTo(options.metrics, variant.search->stats,
-                          {{"seed", seed_label}, {"variant", variant.name}});
+                          {{"seed", SeedLabel(prepared.seed)}, {"variant", variant.name}});
     }
+  }
+  return record;
+}
 
-    ScenarioOptions best_case;
-    best_case.scenario = FailureScenario::kNone;
-    stage_watch.Restart();
-    LAAR_ASSIGN_OR_RETURN(dsps::SimulationMetrics best,
-                          run_observed(variant, best_case));
-    record.stages.simulate_best_seconds += stage_watch.ElapsedSeconds();
-    measurement.cpu_cycles = best.TotalCpuCycles();
-    measurement.dropped = best.dropped_tuples;
-    measurement.processed_best = best.TotalProcessed();
-    measurement.peak_output_rate = PeakOutputRate(best, trace, high);
-    if (!best.sink_latency.empty()) {
-      measurement.latency_mean = best.sink_latency.mean();
-      measurement.latency_p95 = best.sink_latency.Percentile(95.0);
-      laar::Histogram hist(0.0, dsps::kSinkLatencyHistogramMaxSeconds,
-                           dsps::kSinkLatencyHistogramBins);
-      for (double sample : best.sink_latency.samples()) hist.Add(sample);
-      measurement.latency_hist = std::move(hist);
-    }
+std::vector<FailureScenario> HarnessScenarios(const HarnessOptions& options) {
+  std::vector<FailureScenario> scenarios = {FailureScenario::kNone};
+  if (options.run_worst_case) scenarios.push_back(FailureScenario::kWorstCase);
+  if (options.run_host_crash) scenarios.push_back(FailureScenario::kHostCrash);
+  if (options.run_domain_outage) scenarios.push_back(FailureScenario::kDomainOutage);
+  return scenarios;
+}
 
-    if (options.run_worst_case) {
-      ScenarioOptions worst;
-      worst.scenario = FailureScenario::kWorstCase;
-      stage_watch.Restart();
-      LAAR_ASSIGN_OR_RETURN(dsps::SimulationMetrics metrics,
-                            run_observed(variant, worst));
-      record.stages.simulate_worst_seconds += stage_watch.ElapsedSeconds();
-      measurement.processed_worst = metrics.TotalProcessed();
+Result<double> RunVariantScenario(const HarnessOptions& options,
+                                  const PreparedExperiment& prepared, size_t variant_index,
+                                  FailureScenario scenario, VariantMeasurement* measurement) {
+  Stopwatch watch;
+  const NamedVariant& variant = prepared.variants[variant_index];
+  const std::string seed_label = SeedLabel(prepared.seed);
+  ScenarioOptions scenario_options;
+  scenario_options.scenario = scenario;
+  if (scenario == FailureScenario::kHostCrash) {
+    scenario_options.seed = prepared.seed ^ 0x9E3779B97F4A7C15ULL;
+  } else if (scenario == FailureScenario::kDomainOutage) {
+    scenario_options.seed = prepared.seed ^ 0xC2B2AE3D27D4EB4FULL;
+    scenario_options.domain_level = options.domain_outage_level;
+    scenario_options.outage_bursts = options.domain_outage_bursts;
+  }
+
+  // Per-simulation tracing and registry publishing, when the harness asks
+  // for them. The recorder is local to this call (and hence to the corpus
+  // task running it), which keeps the trace files byte-identical for any
+  // --jobs value.
+  dsps::RuntimeOptions runtime = options.runtime;
+  std::optional<obs::TraceRecorder> recorder;
+  if (!options.trace_dir.empty()) {
+    obs::TraceRecorder::Options trace_options;
+    trace_options.capacity = options.trace_capacity;
+    trace_options.categories = options.trace_categories;
+    recorder.emplace(trace_options);
+    runtime.trace_recorder = &*recorder;
+  }
+  const obs::MetricsRegistry::Labels scenario_labels = {
+      {"seed", seed_label}, {"variant", variant.name}, {"scenario", FailureScenarioName(scenario)}};
+  if (options.metrics != nullptr && options.record_timeseries) {
+    runtime.telemetry = options.metrics;
+    runtime.telemetry_period_seconds = options.telemetry_period_seconds;
+    runtime.telemetry_capacity = options.telemetry_capacity;
+    runtime.telemetry_labels = scenario_labels;
+  }
+  std::optional<obs::LatencyTracer> tracer;
+  if (options.metrics != nullptr && options.latency_sample_rate > 0.0) {
+    obs::LatencyTracer::Options tracer_options;
+    tracer_options.sample_rate = options.latency_sample_rate;
+    tracer_options.seed = options.latency_seed;
+    tracer.emplace(tracer_options);
+    runtime.latency_tracer = &*tracer;
+  }
+  LAAR_ASSIGN_OR_RETURN(
+      dsps::SimulationMetrics metrics,
+      RunScenario(prepared.app, variant.strategy, prepared.trace, runtime, scenario_options));
+  if (recorder.has_value()) {
+    const std::string path =
+        StrFormat("%s/seed%s_%s_%s.json", options.trace_dir.c_str(), seed_label.c_str(),
+                  variant.name.c_str(), FailureScenarioName(scenario));
+    LAAR_RETURN_IF_ERROR(json::WriteFile(
+        obs::ToChromeTraceJson(*recorder, tracer.has_value() ? &*tracer : nullptr), path));
+  }
+  if (options.metrics != nullptr) {
+    dsps::PublishTo(options.metrics, metrics, scenario_labels);
+    if (tracer.has_value()) {
+      obs::PublishBreakdown(options.metrics, tracer->Breakdown(), scenario_labels);
     }
-    if (options.run_host_crash) {
-      ScenarioOptions crash;
-      crash.scenario = FailureScenario::kHostCrash;
-      crash.seed = seed ^ 0x9E3779B97F4A7C15ULL;
-      stage_watch.Restart();
-      LAAR_ASSIGN_OR_RETURN(dsps::SimulationMetrics metrics,
-                            run_observed(variant, crash));
-      record.stages.simulate_crash_seconds += stage_watch.ElapsedSeconds();
-      measurement.processed_crash = metrics.TotalProcessed();
+  }
+  const double seconds = watch.ElapsedSeconds();
+
+  switch (scenario) {
+    case FailureScenario::kNone:
+      measurement->cpu_cycles = metrics.TotalCpuCycles();
+      measurement->dropped = metrics.dropped_tuples;
+      measurement->processed_best = metrics.TotalProcessed();
+      measurement->peak_output_rate = PeakOutputRate(
+          metrics, prepared.trace, prepared.app.descriptor.input_space.PeakConfig());
+      if (!metrics.sink_latency.empty()) {
+        measurement->latency_mean = metrics.sink_latency.mean();
+        measurement->latency_p95 = metrics.sink_latency.Percentile(95.0);
+        laar::Histogram hist(0.0, dsps::kSinkLatencyHistogramMaxSeconds,
+                             dsps::kSinkLatencyHistogramBins);
+        for (double sample : metrics.sink_latency.samples()) hist.Add(sample);
+        measurement->latency_hist = std::move(hist);
+      }
+      break;
+    case FailureScenario::kWorstCase:
+      measurement->processed_worst = metrics.TotalProcessed();
+      break;
+    case FailureScenario::kHostCrash:
+      measurement->processed_crash = metrics.TotalProcessed();
+      break;
+    case FailureScenario::kDomainOutage:
+      measurement->processed_domain = metrics.TotalProcessed();
+      break;
+  }
+  return seconds;
+}
+
+Result<AppExperimentRecord> RunAppExperiment(const HarnessOptions& options, uint64_t seed) {
+  LAAR_ASSIGN_OR_RETURN(PreparedExperiment prepared, PrepareExperiment(options, seed));
+  AppExperimentRecord record = StartRecord(options, prepared);
+  const std::vector<FailureScenario> scenarios = HarnessScenarios(options);
+  for (size_t v = 0; v < prepared.variants.size(); ++v) {
+    for (FailureScenario scenario : scenarios) {
+      LAAR_ASSIGN_OR_RETURN(
+          double seconds,
+          RunVariantScenario(options, prepared, v, scenario, &record.variants[v]));
+      record.stages.AddSimulate(scenario, seconds);
     }
-    if (options.run_domain_outage) {
-      ScenarioOptions outage;
-      outage.scenario = FailureScenario::kDomainOutage;
-      outage.seed = seed ^ 0xC2B2AE3D27D4EB4FULL;
-      outage.domain_level = options.domain_outage_level;
-      outage.outage_bursts = options.domain_outage_bursts;
-      stage_watch.Restart();
-      LAAR_ASSIGN_OR_RETURN(dsps::SimulationMetrics metrics,
-                            run_observed(variant, outage));
-      record.stages.simulate_domain_seconds += stage_watch.ElapsedSeconds();
-      measurement.processed_domain = metrics.TotalProcessed();
-    }
-    record.variants.push_back(std::move(measurement));
   }
   return record;
 }

@@ -106,6 +106,8 @@ struct StageTimes {
     return generate_seconds + solve_seconds + SimulateSeconds();
   }
   void MergeFrom(const StageTimes& other);
+  /// Adds one `scenario` simulation's seconds to its stage.
+  void AddSimulate(FailureScenario scenario, double seconds);
 };
 
 /// Per-application record of the full §5.3 comparison.
@@ -139,8 +141,9 @@ struct HarnessOptions {
   /// When non-empty, every (variant, scenario) simulation records a trace
   /// and writes it as Chrome trace-event JSON to
   /// `<trace_dir>/seed<seed>_<variant>_<scenario>.json`. The directory must
-  /// already exist. Each recorder lives entirely inside the worker running
-  /// the seed, so the files are byte-identical for any corpus --jobs value.
+  /// already exist. Each recorder lives entirely inside the task running
+  /// its simulation, so the files are byte-identical for any corpus --jobs
+  /// value.
   std::string trace_dir;
   uint32_t trace_categories = obs::kAllCategories;
   size_t trace_capacity = 1u << 18;
@@ -167,10 +170,47 @@ struct HarnessOptions {
   uint64_t latency_seed = 1;
 };
 
+/// The usability step of one seed: its generated application, the variant
+/// set, and the experiment trace. It alone decides whether a seed is usable,
+/// and it writes no trace file and publishes no metric, so a seed probed and
+/// then discarded leaves nothing behind.
+struct PreparedExperiment {
+  uint64_t seed = 0;
+  appgen::GeneratedApplication app;
+  std::vector<NamedVariant> variants;  // NR, SR, GRD, then L.x
+  dsps::InputTrace trace;
+  StageTimes stages;  ///< generate and solve seconds
+};
+
+/// Generates the application of `seed`, builds its variants and the
+/// experiment trace. Fails (FailedPrecondition when FT-Search proves some
+/// L.x infeasible) when the seed is not usable.
+Result<PreparedExperiment> PrepareExperiment(const HarnessOptions& options, uint64_t seed);
+
+/// The record `prepared` fills: its seed and stage times so far, and one
+/// measurement per variant carrying the variant's name and promised IC.
+/// Publishes every L.x variant's FT-Search statistics into
+/// `options.metrics`, per (seed, variant).
+AppExperimentRecord StartRecord(const HarnessOptions& options,
+                                const PreparedExperiment& prepared);
+
+/// The scenarios `options` runs for every variant, best case first.
+std::vector<FailureScenario> HarnessScenarios(const HarnessOptions& options);
+
+/// Runs `scenario` for `prepared.variants[variant]`, writing the trace file
+/// and publishing the metrics `options` asks for, and folds the simulation
+/// into `measurement`. Each scenario writes only the measurement fields it
+/// owns, so the scenarios of one variant may run concurrently. Returns the
+/// simulation's wall-clock seconds.
+Result<double> RunVariantScenario(const HarnessOptions& options,
+                                  const PreparedExperiment& prepared, size_t variant,
+                                  FailureScenario scenario, VariantMeasurement* measurement);
+
 /// Generates an application from `seed`, builds all variants, and runs the
-/// requested scenarios. Returns FailedPrecondition when the instance is not
-/// usable (e.g. FT-Search proves some L.x infeasible); callers skip those
-/// seeds, like the paper's corpus keeps only solvable instances.
+/// requested scenarios, one simulation after another. Returns
+/// FailedPrecondition when the instance is not usable (e.g. FT-Search proves
+/// some L.x infeasible); callers skip those seeds, like the paper's corpus
+/// keeps only solvable instances.
 Result<AppExperimentRecord> RunAppExperiment(const HarnessOptions& options, uint64_t seed);
 
 }  // namespace laar::runtime

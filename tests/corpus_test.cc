@@ -161,6 +161,50 @@ TEST(CorpusTest, SerialCorpusMayShareFtSearchPool) {
   EXPECT_EQ(CorpusToCsv(threaded.records), CorpusToCsv(reference.records));
 }
 
+TEST(CorpusTest, SerialExperimentMatchesCorpusRecords) {
+  // RunAppExperiment and RunCorpus share one usability step, one
+  // per-scenario runner and one fold: every record of a parallel corpus
+  // must be exactly what the serial RunAppExperiment gives for its seed.
+  const HarnessOptions harness = TinyHarness();
+  const CorpusResult corpus = RunCorpus(harness, TinyCorpus(4));
+  ASSERT_TRUE(corpus.status.ok()) << corpus.status.ToString();
+  ASSERT_EQ(corpus.records.size(), 3u);
+  for (AppExperimentRecord record : corpus.records) {
+    Result<AppExperimentRecord> serial = RunAppExperiment(harness, record.app_seed);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    serial->stages = StageTimes{};
+    record.stages = StageTimes{};
+    EXPECT_EQ(RecordToJson(*serial).Dump(), RecordToJson(record).Dump())
+        << "seed " << record.app_seed;
+  }
+}
+
+TEST(CorpusTest, ConfigurationErrorsEndTheRunInsteadOfSkippingSeeds) {
+  // A trace directory that does not exist, or zero engine shards, fails
+  // every simulation of every seed. That is an error of the run, not a
+  // corpus of unusable seeds: the status says so, and the seeds skipped
+  // are exactly those of a healthy run.
+  const CorpusResult healthy = RunCorpus(TinyHarness(), TinyCorpus(1));
+  ASSERT_TRUE(healthy.status.ok());
+
+  HarnessOptions unwritable = TinyHarness();
+  unwritable.trace_dir =
+      (std::filesystem::temp_directory_path() / "laar_corpus_no_such_dir" / "traces")
+          .string();
+  std::filesystem::remove_all(std::filesystem::path(unwritable.trace_dir).parent_path());
+  HarnessOptions no_shards = TinyHarness();
+  no_shards.runtime.shards = 0;
+
+  for (int jobs : {1, 4}) {
+    for (const HarnessOptions& harness : {unwritable, no_shards}) {
+      const CorpusResult result = RunCorpus(harness, TinyCorpus(jobs));
+      EXPECT_FALSE(result.status.ok()) << "jobs=" << jobs;
+      EXPECT_TRUE(result.records.empty()) << "jobs=" << jobs;
+      EXPECT_EQ(result.skipped, healthy.skipped) << "jobs=" << jobs;
+    }
+  }
+}
+
 TEST(CorpusTest, GivesUpAfterSkipBudget) {
   HarnessOptions harness = TinyHarness();
   // An unsatisfiable IC makes every seed unusable.

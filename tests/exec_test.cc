@@ -2,7 +2,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <optional>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -260,6 +262,65 @@ TEST(CollectUsableSeedsTest, OnAcceptFiresInSeedOrder) {
       });
   ASSERT_EQ(order.size(), 6u);
   EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+}
+
+TEST(CollectUsableSeedsTest, ProbesRunOnAtMostJobsThreads) {
+  // `jobs` counts the calling thread: a private pool adds `jobs - 1`
+  // workers, not `jobs`.
+  for (int jobs : {2, 4}) {
+    std::mutex mu;
+    std::set<std::thread::id> threads;
+    const auto kept = CollectUsableSeeds<int>(
+        24, 0, jobs, 1000, [&](uint64_t seed) -> std::optional<int> {
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          {
+            std::lock_guard<std::mutex> lock(mu);
+            threads.insert(std::this_thread::get_id());
+          }
+          return SquareUsableProbe(seed);
+        });
+    EXPECT_EQ(kept.size(), 24u);
+    EXPECT_LE(threads.size(), static_cast<size_t>(jobs)) << "jobs=" << jobs;
+  }
+}
+
+TEST(CollectUsableSeedsTest, ProbesAtMostJobsMinusOneSeedsPastTheCutOff) {
+  // The serial run's last probed seed is the cut-off. A parallel run may
+  // probe a few seeds past it speculatively, but never `jobs` or more —
+  // not even when the cut-off seed itself is slow and the other threads
+  // are free to run ahead.
+  struct Case {
+    int num;
+    int max_skips;
+    std::optional<int> (*probe)(uint64_t);
+  };
+  const Case cases[] = {
+      {1, 1000, SquareUsableProbe},
+      {5, 1000, SquareUsableProbe},
+      {20, 1000, SquareUsableProbe},
+      {5, 4, [](uint64_t) -> std::optional<int> { return std::nullopt; }},
+  };
+  for (const Case& c : cases) {
+    uint64_t cutoff = 0;
+    CollectUsableSeeds<int>(c.num, 0, 1, c.max_skips, [&](uint64_t seed) {
+      cutoff = seed;
+      return c.probe(seed);
+    });
+    for (int jobs : {2, 4, 8}) {
+      std::mutex mu;
+      std::vector<uint64_t> past;
+      CollectUsableSeeds<int>(c.num, 0, jobs, c.max_skips, [&](uint64_t seed) {
+        if (seed == cutoff) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        if (seed > cutoff) {
+          std::lock_guard<std::mutex> lock(mu);
+          past.push_back(seed);
+        }
+        return c.probe(seed);
+      });
+      EXPECT_LE(past.size(), static_cast<size_t>(jobs - 1))
+          << "num=" << c.num << " max_skips=" << c.max_skips << " jobs=" << jobs;
+    }
+  }
 }
 
 TEST(CollectUsableSeedsTest, SharesCallerPool) {

@@ -21,7 +21,9 @@
 #    the hashed artifacts of step 5,
 # 7. rebuilds the concurrency-sensitive tests (thread pool, parallel
 #    corpus + observability publishing, sharded DES engine) under
-#    ThreadSanitizer and runs them.
+#    ThreadSanitizer and runs them, plus the two --jobs-invariance cases
+#    of corpus_test (its simulation tasks write into shared records from
+#    several threads).
 #
 # Any failing step aborts the script with a non-zero exit.
 set -eu
@@ -150,9 +152,11 @@ sharded_sim --shards=4 \
 "./$BUILD_DIR/tools/laar_trace" diff "$SMOKE_DIR/profile.s1.json" \
     "$SMOKE_DIR/profile.s4.json" >/dev/null
 
-echo "== [7/7] TSan: exec_test + obs_test + sharded_sim_test (${TSAN_DIR}) =="
+echo "== [7/7] TSan: exec_test + obs_test + sharded_sim_test + corpus_test (${TSAN_DIR}) =="
 cmake -B "$TSAN_DIR" -S . -DLAAR_SANITIZE=thread >/dev/null
-cmake --build "$TSAN_DIR" -j "$JOBS" --target exec_test obs_test sharded_sim_test
+cmake --build "$TSAN_DIR" -j "$JOBS" --target exec_test obs_test sharded_sim_test corpus_test
 ctest --test-dir "$TSAN_DIR" -R 'exec_test|obs_test|sharded_sim_test' --output-on-failure
+"./$TSAN_DIR/tests/corpus_test" \
+    --gtest_filter=CorpusTest.ParallelRunsProduceIdenticalRecords:CorpusTest.DomainOutageRecordsAndTracesAreJobsInvariant
 
 echo "ok: all checks passed"
