@@ -38,13 +38,14 @@ inline runtime::HarnessOptions HarnessFromFlags(const Flags& flags) {
   // the paper's 100-application corpus supports all of L.5/L.6/L.7.
   options.generator.high_overload_max = 1.15;
   options.variants.laar_ic_requirements = {0.5, 0.6, 0.7};
-  // Infeasibility is proven in milliseconds and good feasible solutions
-  // appear almost immediately (greedy seeding + tight IC bound); the budget
-  // only caps optimality proofs, so it can be small. A *node* budget rather
-  // than a wall-clock one keeps the outcome — and therefore which seeds the
-  // corpus skips as unsolvable — independent of machine load, so --jobs=N
-  // reproduces the --jobs=1 records exactly. --time-limit restores a
-  // wall-clock cap, at the price of that invariance.
+  // The budget caps every L.x search. A seed whose search ends without a
+  // strategy is skipped, whether FT-Search proved it infeasible or ran out
+  // of budget first, so a smaller budget also drops solvable but hard
+  // instances. A *node* budget rather than a wall-clock one keeps the
+  // outcome — and therefore which seeds the corpus skips — independent of
+  // machine load, so --jobs=N reproduces the --jobs=1 records exactly.
+  // --time-limit restores a wall-clock cap, at the price of that
+  // invariance.
   options.variants.ftsearch_node_limit =
       static_cast<uint64_t>(flags.GetInt("node-limit", 2000000));
   options.variants.ftsearch_time_limit_seconds = flags.GetDouble("time-limit", 0.0);
@@ -55,9 +56,9 @@ inline runtime::HarnessOptions HarnessFromFlags(const Flags& flags) {
   return options;
 }
 
-/// Runs the harness over `num_apps` usable seeds (instances where FT-Search
-/// proves some L.x infeasible are skipped, like the paper's corpus) on
-/// `jobs` threads. Records are identical for any `jobs` value; see
+/// Runs the harness over `num_apps` usable seeds (a seed is skipped when
+/// some L.x search returns no strategy, proven infeasible or out of
+/// budget) on `jobs` threads. Records are identical for any `jobs` value; see
 /// `runtime::RunCorpus`. A failed run (a simulation or trace-write error)
 /// is reported and exits the process with status 1.
 inline std::vector<runtime::AppExperimentRecord> RunExperimentCorpus(

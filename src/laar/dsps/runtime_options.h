@@ -123,46 +123,17 @@ struct RuntimeOptions {
   /// `link_latency_seconds`; shards only change wall-clock time.
   int shards = 1;
 
-  /// How the conservative-window engine schedules shard phases.
-  ///
-  /// `kGlobal` (the default, DESIGN.md §10) advances every shard in
-  /// lockstep, one window per barrier round.
-  ///
-  /// `kPairwise` (DESIGN.md §12) derives a per-shard-pair lookahead matrix
-  /// from the placed application edges and the topology latency factors
-  /// below, and lets each shard sprint to the minimum over its *inbound*
-  /// neighbors' horizons (`neighbor_windows_crossed + lookahead(src, dst)`).
-  /// Shard pairs connected only by slow links synchronize rarely; a shard
-  /// with no inbound cross-shard edges runs uninterrupted to the next
-  /// control event. The delivery model (and therefore every artifact byte)
-  /// is identical in both modes — only the synchronization schedule and the
-  /// wall-clock profile change.
-  enum class WindowMode { kGlobal, kPairwise };
-  WindowMode window_mode = WindowMode::kGlobal;
-
   /// Topology link-latency multipliers, applied per host pair on top of
   /// `link_latency_seconds` (the intra-rack floor): a tuple crossing racks
   /// inside a zone travels a `rack_latency_factor`-window link; one crossing
   /// zones a `zone_latency_factor`-window link. Both must be integers >= 1
   /// (a zero- or sub-window link would break the conservative lookahead —
   /// Build rejects it); factors are windows, so deliveries stay quantized to
-  /// barrier boundaries and artifacts stay shard- and mode-invariant.
+  /// barrier boundaries and artifacts stay shard-invariant.
   /// Source injection always uses factor 1. The defaults model the uniform
   /// topology the historical engine assumed.
   int rack_latency_factor = 1;
   int zone_latency_factor = 1;
-
-  /// Upper bound on concurrent ShardRunner executors (the coordinating
-  /// thread included). 0 — the default — clamps to the machine's
-  /// hardware_concurrency: dispatching more threads than cores only adds
-  /// context-switch churn at every barrier. The effective value is recorded
-  /// in the engine profile as `runner_workers`.
-  int runner_workers = 0;
-
-  /// How long a ShardRunner worker (or the waiting coordinator) polls the
-  /// phase atomics before parking on a condition variable. Negative values
-  /// clamp to 0 (park immediately).
-  int runner_spin_iterations = 1 << 12;
 
   /// Engine self-profiling sink (see obs/engine_profiler.h): per-shard ×
   /// per-phase wall-clock accounting plus deterministic window/traffic

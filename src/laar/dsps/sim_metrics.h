@@ -72,7 +72,7 @@ struct SimulationMetrics {
   std::vector<model::HostId> crashed_hosts;
 
   /// Logical DES events the engine executed for this run (batched inline
-  /// deliveries included) — the numerator of the events/sec perf baseline.
+  /// deliveries included) — the numerator of benchmark/'s events/sec.
   /// Not serialized: a perf-side statistic, not a simulation outcome.
   uint64_t engine_events = 0;
 

@@ -236,21 +236,15 @@ struct StreamSimulation::Shard {
   std::vector<double> source_series;
 
   // --- window progress (owned by the shard's slice; the coordinator reads
-  // and, for skipped shards, advances it only while workers are parked) ---
+  // it only while workers are parked) ---
   uint64_t crossed = 0;       ///< barriers crossed == index of the open window
   uint64_t drained = 0;       ///< last barrier whose due messages were drained
   uint64_t window_index = 0;  ///< window currently (or most recently) running
   sim::SimTime phase_end = 0.0;  ///< end of the running slice (sources park here)
 
-  // Round plan, written by the coordinator before dispatch.
-  sim::SimTime target_time = 0.0;
-  uint64_t target_barrier = 0;
-  bool final_round = false;
-
-  // Inbound messages keyed by due barrier (a map, not a ring: a sprinting
-  // neighbor may seal windows far ahead, and an edgeless shard runs to the
-  // next control time in one slice). Drained — sorted and delivered — when
-  // the window opening at that barrier starts.
+  // Inbound messages keyed by due barrier (a map, not a ring: a topology
+  // latency factor puts a due that many windows out). Drained — sorted and
+  // delivered — when the window opening at that barrier starts.
   std::map<uint64_t, std::vector<NetMessage>> pending;
   // Current-window emissions per destination shard. Sealed at each barrier
   // crossing: own-shard segments append straight into `pending`, cross-shard
@@ -283,16 +277,6 @@ struct StreamSimulation::Shard {
   uint64_t prof_max_inbox = 0;      ///< deepest due batch seen at a drain
   uint64_t prof_max_host_inbox = 0; ///< longest per-destination-host run
   std::map<uint64_t, uint64_t> win_events;  ///< window -> events executed
-  /// barrier -> tuples drained at it, split by source shard. The traffic
-  /// matrix counts a tuple at its *delivery* barrier's closure (matching
-  /// the historical rotate-time accounting): tuples whose due barrier falls
-  /// past the horizon are never counted.
-  std::map<uint64_t, std::vector<uint64_t>> net_drained;
-
-  // Scheduling counters (deterministic; reported via the profiler).
-  uint64_t sched_windows = 0;     ///< barrier crossings run by slices
-  uint64_t sched_dispatches = 0;  ///< rounds this shard was dispatched
-  uint64_t sched_skips = 0;       ///< rounds skipped as provably idle
 };
 
 /// Handles into the telemetry registry plus the previous snapshot, so each
@@ -348,22 +332,15 @@ Status StreamSimulation::Build() {
     return Status::InvalidArgument(
         "the latency tracer is not supported by the windowed engine");
   }
-  pairwise_ = options_.window_mode == RuntimeOptions::WindowMode::kPairwise;
   if (windowed_) {
     if (options_.rack_latency_factor < 1 || options_.zone_latency_factor < 1) {
       return Status::InvalidArgument(
           "latency factors must be >= 1 window: a zero-latency cross-host "
           "link would break the conservative lookahead");
     }
-  } else {
-    if (pairwise_) {
-      return Status::InvalidArgument(
-          "window_mode=pairwise requires link_latency_seconds > 0");
-    }
-    if (options_.rack_latency_factor != 1 || options_.zone_latency_factor != 1) {
-      return Status::InvalidArgument(
-          "topology latency factors require link_latency_seconds > 0");
-    }
+  } else if (options_.rack_latency_factor != 1 || options_.zone_latency_factor != 1) {
+    return Status::InvalidArgument(
+        "topology latency factors require link_latency_seconds > 0");
   }
   uniform_latency_ =
       options_.rack_latency_factor == 1 && options_.zone_latency_factor == 1;
@@ -527,47 +504,6 @@ Status StreamSimulation::Build() {
   shard_of_host_.resize(hosts_.size() + sources_.size(), 0);
   for (const auto& source : sources_) {
     shard_of_host_[static_cast<size_t>(source->net_host)] = source->shard;
-  }
-
-  // Per-shard-pair lookahead matrix (DESIGN.md §12): the minimum latency
-  // factor over the *placed* application edges crossing each shard pair.
-  // Every replica of an upstream PE may act as primary at some point, so
-  // every (src replica host, dst replica host) pair of an edge counts;
-  // same-host deliveries are direct (no network) and impose no constraint.
-  // Source injection is a factor-1 inbound edge from the source's shard.
-  lookahead_.clear();
-  if (windowed_) {
-    lookahead_.assign(static_cast<size_t>(num_shards_),
-                      std::vector<uint32_t>(static_cast<size_t>(num_shards_), 0));
-    auto note = [this](int src_shard, int dst_shard, uint32_t factor) {
-      uint32_t& cell =
-          lookahead_[static_cast<size_t>(src_shard)][static_cast<size_t>(dst_shard)];
-      if (cell == 0 || factor < cell) cell = factor;
-    };
-    for (const model::Edge& e : graph.edges()) {
-      if (graph.IsSink(e.to)) continue;
-      const PeState* upstream =
-          static_cast<size_t>(e.from) < pes_.size() ? pes_[static_cast<size_t>(e.from)].get()
-                                                    : nullptr;
-      if (upstream == nullptr) continue;  // source edges handled below
-      const PeState* downstream = pes_[static_cast<size_t>(e.to)].get();
-      for (const Replica& src : upstream->replicas) {
-        for (const Replica& dst : downstream->replicas) {
-          if (src.host == dst.host) continue;
-          note(shard_of_host_[static_cast<size_t>(src.host)],
-               shard_of_host_[static_cast<size_t>(dst.host)],
-               HostPairFactor(src.host, dst.host));
-        }
-      }
-    }
-    for (const auto& source : sources_) {
-      for (const Output& output : source->outputs) {
-        if (output.is_sink) continue;
-        for (const Replica& dst : pes_[static_cast<size_t>(output.to)]->replicas) {
-          note(source->shard, shard_of_host_[static_cast<size_t>(dst.host)], 1);
-        }
-      }
-    }
   }
 
   // Initial activation state: the strategy entry of the configuration the
@@ -816,15 +752,10 @@ uint32_t StreamSimulation::HostPairFactor(model::HostId src, model::HostId dst) 
 void StreamSimulation::RunWindowedLoop() {
   const sim::SimTime horizon = trace_.TotalDuration();
   const double window = options_.link_latency_seconds;
-  exec::ShardRunner::Options runner_options;
-  runner_options.workers = options_.runner_workers;
-  runner_options.spin_iterations = options_.runner_spin_iterations;
-  exec::ShardRunner runner(num_shards_, runner_options);
+  exec::ShardRunner runner(num_shards_);
   obs::EngineProfiler* profiler = profiling_ ? options_.profiler : nullptr;
   if (profiler != nullptr) {
-    profiler->SetWindowMode(pairwise_ ? "pairwise" : "global");
     profiler->SetRunnerWorkers(runner.workers());
-    profiler->SetLookahead(lookahead_);
     runner.set_phase_observer(
         [profiler](double phase_seconds,
                    const std::vector<double>& execute_seconds) {
@@ -847,11 +778,9 @@ void StreamSimulation::RunWindowedLoop() {
     while (index > 0 && barrier_time(index) > t) --index;
     return index;
   };
-  const auto min_crossed = [this]() {
-    uint64_t m = shards_[0]->crossed;
-    for (const auto& shard : shards_) m = std::min(m, shard->crossed);
-    return m;
-  };
+  // Shards advance in lockstep: between rounds every shard has crossed the
+  // same barriers and parks at the same time, so shard 0 speaks for all.
+  const Shard& front = *shards_[0];
 
   uint64_t closed = 0;  // barriers closed so far (closures run in order)
   const auto close_through = [&](uint64_t limit) {
@@ -886,40 +815,38 @@ void StreamSimulation::RunWindowedLoop() {
     }
   };
 
-  const auto slice_fn = [this](int s) { RunShardSlice(s); };
-  std::vector<int> selected;
-  selected.reserve(static_cast<size_t>(num_shards_));
+  // The round plan, written here while the shards are parked and read by
+  // every shard's slice.
+  uint64_t target_barrier = 0;
+  sim::SimTime target_time = 0.0;
+  bool final_round = false;
+  const std::function<void(int)> slice_fn = [&](int s) {
+    RunShardSlice(s, target_barrier, target_time, final_round);
+  };
   uint64_t rounds = 0;
 
-  // Round loop. Each round plans a per-shard advancement target, dispatches
-  // the shards with work, then (workers parked again) moves sealed traffic
-  // and closes matured barriers. Global mode targets one lockstep window per
-  // round — the historical phase schedule. Pairwise mode targets each
-  // shard's safe horizon: the minimum over inbound neighbors `s` of
-  // `crossed(s) + lookahead(s, d)` (a message from `s` still unsealed —
-  // including a control-time emission into the window below its crossing —
-  // has due >= crossed(s) + lookahead, so every due the target window needs
-  // is already distributed). Both modes cap targets at the next control
-  // time, so control actions always run with every shard parked at exactly
-  // that time — the same control-before-local order at equal times, and the
-  // same per-shard stop set, as the historical engine.
+  // Round loop. Each round advances every shard by one window, or to the
+  // next control time if that comes first, then (workers parked again)
+  // moves sealed traffic and closes matured barriers. Capping at the
+  // control time means control actions always run with every shard parked
+  // at exactly that time — the same control-before-local order at equal
+  // times, and the same per-shard stop set, as the historical engine.
   for (;;) {
-    sim::SimTime min_now = shards_[0]->sim.now();
-    for (const auto& shard : shards_) min_now = std::min(min_now, shard->sim.now());
-    if (min_now >= horizon) break;
+    const sim::SimTime now = front.sim.now();
+    if (now >= horizon) break;
     sim::SimTime cap_time = horizon;
     sim::SimTime control_at = 0.0;
     if (simulator_.NextEventTime(&control_at) && control_at < cap_time) {
       cap_time = control_at;
     }
-    if (min_now >= cap_time) {
-      // Targets never pass the pending control time, so min == cap means
-      // every shard is parked exactly there. Close matured barriers strictly
-      // below it, run the control actions, close a barrier coinciding with
-      // it, re-plan. (Control events only ever schedule other control
-      // events, so RunUntil leaves the control heap strictly beyond the cap
-      // — the loop always makes progress.)
-      const uint64_t at_control = min_crossed();
+    if (now >= cap_time) {
+      // Rounds never pass the pending control time, so every shard is
+      // parked exactly there. Close matured barriers strictly below it, run
+      // the control actions, close a barrier coinciding with it, re-plan.
+      // (Control events only ever schedule other control events, so
+      // RunUntil leaves the control heap strictly beyond the cap — the loop
+      // always makes progress.)
+      const uint64_t at_control = front.crossed;
       uint64_t strictly_below = at_control;
       if (strictly_below > 0 && barrier_time(strictly_below) == cap_time) {
         --strictly_below;
@@ -931,101 +858,14 @@ void StreamSimulation::RunWindowedLoop() {
     }
 
     const uint64_t cap_barrier = barrier_at_or_below(cap_time, closed);
-    const uint64_t floor_crossed = min_crossed();
-    selected.clear();
-    for (int s = 0; s < num_shards_; ++s) {
-      Shard* shard = shards_[static_cast<size_t>(s)].get();
-      uint64_t safe = UINT64_MAX;
-      if (pairwise_) {
-        for (int src = 0; src < num_shards_; ++src) {
-          if (src == s) continue;
-          const uint32_t factor =
-              lookahead_[static_cast<size_t>(src)][static_cast<size_t>(s)];
-          if (factor == 0) continue;  // no inbound edge from that shard
-          safe = std::min(safe, shards_[static_cast<size_t>(src)]->crossed + factor);
-        }
-      } else {
-        safe = floor_crossed + 1;  // lockstep: one window per round
-      }
-      const uint64_t target_barrier = std::min(safe, cap_barrier);
-      const sim::SimTime target_time =
-          safe <= cap_barrier ? barrier_time(target_barrier) : cap_time;
-      if (target_barrier <= shard->crossed && target_time <= shard->sim.now()) {
-        continue;  // already at its horizon; waits for neighbors this round
-      }
-      shard->target_barrier = target_barrier;
-      shard->target_time = target_time;
-      shard->final_round = false;
-      if (pairwise_) {
-        // Idle-shard skip: a shard with no heap event before its target, no
-        // due batch a target window would drain, and no unsealed outbox
-        // cannot produce or observe anything until the target — advance its
-        // clock and window bookkeeping without dispatching it. (Global mode
-        // keeps the historical dispatch-every-shard schedule.)
-        const bool opens_last = target_time > barrier_time(target_barrier);
-        bool idle = true;
-        sim::SimTime next_event = 0.0;
-        if (shard->sim.NextEventTime(&next_event) && next_event < target_time) {
-          idle = false;
-        }
-        if (idle && !shard->pending.empty()) {
-          uint64_t drain_limit = target_barrier;
-          if (!opens_last && drain_limit > 0) --drain_limit;
-          if (shard->pending.begin()->first <= drain_limit) idle = false;
-        }
-        if (idle) {
-          for (const auto& box : shard->outbox) {
-            if (!box.empty()) {
-              idle = false;
-              break;
-            }
-          }
-        }
-        if (idle) {
-          if (options_.trace_recorder != nullptr) {
-            // A previous control-capped slice may have left events of the
-            // still-open window unmarked; tag them with that window before
-            // the skip rebases the bookkeeping, or they would inherit a
-            // later window's mark and merge out of (time, host) order.
-            const size_t prev_end = shard->trace_marks.empty()
-                                        ? shard->trace_merged
-                                        : shard->trace_marks.back().second;
-            if (shard->trace_buffer.size() > prev_end) {
-              shard->trace_marks.emplace_back(shard->window_index,
-                                              shard->trace_buffer.size());
-            }
-          }
-          shard->sim.RunBefore(target_time);
-          shard->crossed = target_barrier;
-          uint64_t drain_limit = target_barrier;
-          if (!opens_last && drain_limit > 0) --drain_limit;
-          shard->drained = std::max(shard->drained, drain_limit);
-          if (opens_last) {
-            shard->window_index = target_barrier;
-          } else if (target_barrier > 0) {
-            shard->window_index = target_barrier - 1;
-          }
-          shard->phase_end = target_time;
-          ++shard->sched_skips;
-          continue;
-        }
-      }
-      ++shard->sched_dispatches;
-      selected.push_back(s);
-    }
+    const uint64_t next = front.crossed + 1;
+    target_barrier = std::min(next, cap_barrier);
+    target_time = next <= cap_barrier ? barrier_time(next) : cap_time;
     ++rounds;
-    if (!selected.empty()) {
-      if (profiler != nullptr) {
-        sim::SimTime max_target = min_now;
-        for (int s : selected) {
-          max_target = std::max(max_target, shards_[static_cast<size_t>(s)]->target_time);
-        }
-        profiler->BeginPhase(min_now, max_target);
-      }
-      runner.RunSelected(selected, slice_fn);
-    }
+    if (profiler != nullptr) profiler->BeginPhase(now, target_time);
+    runner.RunPhase(slice_fn);
     move_segments();
-    uint64_t mature = min_crossed();
+    uint64_t mature = front.crossed;
     if (mature > 0 && barrier_time(mature) == cap_time) --mature;
     close_through(mature);
   }
@@ -1036,32 +876,13 @@ void StreamSimulation::RunWindowedLoop() {
   // — the same order the historical loop used (control, rotate, final
   // phase).
   simulator_.RunUntil(horizon);
-  close_through(min_crossed());
-  selected.clear();
-  for (int s = 0; s < num_shards_; ++s) {
-    Shard* shard = shards_[static_cast<size_t>(s)].get();
-    shard->target_time = horizon;
-    shard->target_barrier = shard->crossed;
-    shard->final_round = true;
-    if (pairwise_) {
-      sim::SimTime next_event = 0.0;
-      bool idle = !(shard->sim.NextEventTime(&next_event) && next_event <= horizon);
-      if (idle && !shard->pending.empty() &&
-          shard->pending.begin()->first <= shard->crossed) {
-        idle = false;
-      }
-      if (idle) {
-        shard->sim.RunUntil(horizon);
-        ++shard->sched_skips;
-        continue;
-      }
-    }
-    ++shard->sched_dispatches;
-    selected.push_back(s);
-  }
+  close_through(front.crossed);
+  target_barrier = front.crossed;
+  target_time = horizon;
+  final_round = true;
   ++rounds;
-  if (profiler != nullptr && !selected.empty()) profiler->BeginPhase(horizon, horizon);
-  runner.RunSelected(selected, slice_fn);
+  if (profiler != nullptr) profiler->BeginPhase(horizon, horizon);
+  runner.RunPhase(slice_fn);
   MergeRemainingTraces();
   if (profiler != nullptr) {
     // Close the trailing window: either the horizon fell between barriers
@@ -1075,57 +896,36 @@ void StreamSimulation::RunWindowedLoop() {
     if (leftover > 0 || profiler->profile().windows == 0) {
       profiler->RecordWindow(leftover, /*net_tuples=*/0, horizon);
     }
-    for (int s = 0; s < num_shards_; ++s) {
-      Shard* shard = shards_[static_cast<size_t>(s)].get();
-      profiler->SetShardScheduling(s, shard->sched_windows, shard->sched_dispatches,
-                                   shard->sched_skips);
-    }
     profiler->SetDispatchRounds(rounds);
     profiler->SetLoopWallSeconds(loop_watch.ElapsedSeconds());
   }
 }
 
-void StreamSimulation::RunShardSlice(int s) {
+void StreamSimulation::RunShardSlice(int s, uint64_t target_barrier,
+                                     sim::SimTime target_time, bool final_round) {
   Shard* shard = shards_[static_cast<size_t>(s)].get();
-  const double window = options_.link_latency_seconds;
-  const auto note_window_events = [shard](uint64_t w) {
-    const uint64_t total = shard->sim.events_processed() + shard->inline_events;
-    shard->win_events[w] += total - shard->prof_prev_events;
-    shard->prof_prev_events = total;
-  };
-  if (shard->final_round) {
+  const uint64_t w = shard->crossed;
+  if (shard->drained < w) DrainDue(shard, w);
+  shard->window_index = w;
+  shard->phase_end = target_time;
+  if (final_round) {
     // Inclusive horizon slice: events at exactly the horizon belong to the
     // run (RunBefore excluded them), as do messages due at a barrier
     // coinciding with it.
-    const uint64_t w = shard->crossed;
-    if (shard->drained < w) DrainDue(shard, w);
-    shard->window_index = w;
-    shard->phase_end = shard->target_time;
-    shard->sim.RunUntil(shard->target_time);
-    if (profiling_) note_window_events(w);
-    return;
+    shard->sim.RunUntil(target_time);
+  } else {
+    shard->sim.RunBefore(target_time);
   }
-  while (shard->crossed < shard->target_barrier) {
-    const uint64_t w = shard->crossed;
-    if (shard->drained < w) DrainDue(shard, w);
-    shard->window_index = w;
-    const sim::SimTime end = window * static_cast<double>(w + 1);
-    shard->phase_end = end;
-    shard->sim.RunBefore(end);
-    if (profiling_) note_window_events(w);
+  if (profiling_) {
+    const uint64_t total = shard->sim.events_processed() + shard->inline_events;
+    shard->win_events[w] += total - shard->prof_prev_events;
+    shard->prof_prev_events = total;
+  }
+  // A round that stops short of the next barrier (at a control time or the
+  // horizon) leaves the window open: no seal, no crossing.
+  if (target_barrier > w) {
     SealWindow(shard);
-    shard->crossed = w + 1;
-    ++shard->sched_windows;
-  }
-  if (shard->sim.now() < shard->target_time) {
-    // Partial window up to a control time or the horizon; the window stays
-    // open (no seal, no crossing) and resumes after the cap.
-    const uint64_t w = shard->crossed;
-    if (shard->drained < w) DrainDue(shard, w);
-    shard->window_index = w;
-    shard->phase_end = shard->target_time;
-    shard->sim.RunBefore(shard->target_time);
-    if (profiling_) note_window_events(w);
+    shard->crossed = target_barrier;
   }
 }
 
@@ -1136,7 +936,7 @@ void StreamSimulation::DrainDue(Shard* shard, uint64_t barrier) {
   std::vector<NetMessage>& batch = it->second;
   // (dst_host, src_host, src_seq) is unique per message and independent of
   // the partition, so this sort fixes one delivery order for all shard
-  // counts and both window modes. Deliveries to different hosts touch
+  // counts. Deliveries to different hosts touch
   // disjoint state; per (src_host, dst_host) pair the order is emission
   // order.
   std::sort(batch.begin(), batch.end(),
@@ -1158,12 +958,6 @@ void StreamSimulation::DrainDue(Shard* shard, uint64_t barrier) {
       run = msg.dst_host == prev_host ? run + 1 : 1;
       prev_host = msg.dst_host;
       shard->prof_max_host_inbox = std::max(shard->prof_max_host_inbox, run);
-    }
-    std::vector<uint64_t>& by_src = shard->net_drained[barrier];
-    if (by_src.empty()) by_src.assign(static_cast<size_t>(num_shards_), 0);
-    for (const NetMessage& msg : batch) {
-      ++by_src[static_cast<size_t>(
-          shard_of_host_[static_cast<size_t>(msg.src_host)])];
     }
   }
   for (const NetMessage& msg : batch) {
@@ -1215,7 +1009,7 @@ void StreamSimulation::SealWindow(Shard* shard) {
 
 void StreamSimulation::CloseBarrier(uint64_t index, sim::SimTime stop) {
   // Sink arrivals due at this barrier. Replay order must be fixed across
-  // partitions and window modes because sink-latency accumulation is
+  // partitions because sink-latency accumulation is
   // FP-order sensitive; (src_host, src_seq) is unique and
   // partition-invariant.
   sink_scratch_.clear();
@@ -1244,12 +1038,10 @@ void StreamSimulation::CloseBarrier(uint64_t index, sim::SimTime stop) {
   if (profiling_) {
     options_.profiler->RecordBarrierSinkTuples(sink_scratch_.size());
     // The window ending at this barrier: events every shard executed in it,
-    // plus the tuples due here — some already drained (a sprinting shard
-    // opened the window within the round), the rest still pending. The
-    // traffic matrix is fed from the same due==index set, so a tuple is
-    // counted exactly once, at its delivery barrier's closure; stale keys
-    // below the closure (post-closure drains of already-counted buckets)
-    // are discarded without recording.
+    // plus the tuples due here. A barrier closes before any shard opens the
+    // window it starts, so those tuples are all still pending; the traffic
+    // matrix counts each tuple exactly once, at its delivery barrier's
+    // closure (tuples due past the horizon are never counted).
     uint64_t events = 0;
     uint64_t net = 0;
     std::vector<uint64_t> by_src;
@@ -1260,14 +1052,6 @@ void StreamSimulation::CloseBarrier(uint64_t index, sim::SimTime stop) {
         shard->win_events.erase(shard->win_events.begin());
       }
       by_src.assign(static_cast<size_t>(num_shards_), 0);
-      while (!shard->net_drained.empty() &&
-             shard->net_drained.begin()->first <= index) {
-        if (shard->net_drained.begin()->first == index) {
-          const std::vector<uint64_t>& drained = shard->net_drained.begin()->second;
-          for (size_t src = 0; src < drained.size(); ++src) by_src[src] += drained[src];
-        }
-        shard->net_drained.erase(shard->net_drained.begin());
-      }
       auto pit = shard->pending.find(index);
       if (pit != shard->pending.end()) {
         for (const NetMessage& msg : pit->second) {
@@ -1309,7 +1093,7 @@ void StreamSimulation::CloseBarrier(uint64_t index, sim::SimTime stop) {
       shard->trace_mark_cursor = 0;
       shard->trace_merged = 0;
     } else if (shard->trace_merged >= (size_t{1} << 16)) {
-      // A shard sprinting ahead always carries an unmerged tail; compact the
+      // A control-capped partial window leaves an unmerged tail; compact the
       // merged prefix so the buffer stays bounded by a few windows' events.
       shard->trace_buffer.erase(
           shard->trace_buffer.begin(),

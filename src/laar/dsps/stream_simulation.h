@@ -132,21 +132,23 @@ class StreamSimulation {
   void CrashHost(model::HostId host, sim::SimTime duration);
   void RecoverHost(model::HostId host, uint64_t crash_epoch);
 
-  // --- windowed / sharded engine (DESIGN.md §10, §12) ---
-  /// The coordinator loop: plans per-shard advancement rounds (lockstep
-  /// windows in global mode, per-pair lookahead sprints in pairwise mode),
-  /// dispatches them on the ShardRunner, and interleaves control actions
-  /// and barrier closures on the coordinator thread.
+  // --- windowed / sharded engine (DESIGN.md §10) ---
+  /// The coordinator loop: advances every shard in lockstep rounds of one
+  /// window (capped at the next control time) on the ShardRunner, and
+  /// interleaves control actions and barrier closures on the coordinator
+  /// thread.
   void RunWindowedLoop();
   /// Windowed-mode source driver: emits every tuple of the current phase
   /// inline (emissions touch only per-source and per-shard state, so they
   /// commute with the rest of the phase), then parks one scheduled event at
   /// the first emission beyond the phase.
   void WindowedSourceEmit(SourceState* source);
-  /// Worker-side: advances shard `s` through its planned slice — for each
-  /// window up to the shard's target, drain messages due at its opening
-  /// barrier, run the window's events, and seal its outbox.
-  void RunShardSlice(int s);
+  /// Worker-side: advances shard `s` through one round — drain messages
+  /// due at the open window's barrier, run events before `target_time`
+  /// (through it in the inclusive `final_round` at the horizon), and, if
+  /// the round reaches `target_barrier`, seal the window's outbox.
+  void RunShardSlice(int s, uint64_t target_barrier, sim::SimTime target_time,
+                     bool final_round);
   /// Delivers the shard's messages due at `barrier` in canonical
   /// (dst_host, src_host, src_seq) order; runs at the start of the window
   /// opening at that barrier (after the barrier's control actions).
@@ -215,7 +217,6 @@ class StreamSimulation {
   bool windowed_ = false;
   int num_shards_ = 1;
   bool profiling_ = false;  ///< options_.profiler != nullptr, cached at Build
-  bool pairwise_ = false;   ///< window_mode == kPairwise, cached at Build
   /// All latency factors are 1: message dues are `emit_window + 2` without a
   /// per-pair table lookup (the historical uniform topology).
   bool uniform_latency_ = true;
@@ -224,10 +225,6 @@ class StreamSimulation {
   /// [src * num_hosts + dst] -> latency factor in windows; only built when a
   /// factor differs from 1 (uniform runs never touch it).
   std::vector<uint32_t> host_pair_factor_;
-  /// [src_shard][dst_shard] -> minimum latency factor over the placed
-  /// application edges crossing that shard pair (0 = no such edge). Source
-  /// injection counts as a factor-1 inbound edge on the source's shard.
-  std::vector<std::vector<uint32_t>> lookahead_;
   std::vector<SinkMessage> sink_scratch_;         // barrier working sets,
   std::vector<obs::TraceEvent> trace_scratch_;    //   reused across barriers
 

@@ -1,41 +1,47 @@
 #include "laar/exec/shard_runner.h"
 
 #include <algorithm>
-#include <cassert>
-#include <numeric>
 #include <utility>
 
 #include "laar/common/stopwatch.h"
 
 namespace laar::exec {
+namespace {
+
+/// How often an idle worker, or the waiting coordinator, polls before it
+/// parks.
+constexpr int kSpinIterations = 1 << 12;
+
+/// Waits until `ready()`: a bounded spin, then parks on `cv`. Whoever makes
+/// `ready()` true does so (or notifies) under `mutex`, so no wake-up is lost.
+template <typename Ready>
+void SpinThenPark(std::mutex& mutex, std::condition_variable& cv, Ready ready) {
+  for (int spins = 1; !ready(); ++spins) {
+    if (spins >= kSpinIterations) {
+      std::unique_lock<std::mutex> lock(mutex);
+      cv.wait(lock, ready);
+      return;
+    }
+    std::this_thread::yield();
+  }
+}
+
+}  // namespace
 
 ShardRunner::ShardRunner(int shards, const Options& options)
-    : shards_(shards < 1 ? 1 : shards),
-      spin_iterations_(options.spin_iterations < 0 ? 0
-                                                   : options.spin_iterations),
-      all_shards_(static_cast<size_t>(shards_)),
+    : shards_(std::max(shards, 1)),
       execute_seconds_(static_cast<size_t>(shards_), 0.0) {
-  std::iota(all_shards_.begin(), all_shards_.end(), 0);
-  int cap = options.workers;
-  if (cap <= 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    cap = hw == 0 ? 1 : static_cast<int>(hw);
-  }
-  executors_ = std::min(shards_, cap);
-  if (executors_ < 1) executors_ = 1;
-  if (executors_ == 1) return;
-  // The calling thread is one executor; spawn the rest.
-  workers_.reserve(static_cast<size_t>(executors_ - 1));
-  for (int i = 0; i < executors_ - 1; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+  const int hardware = static_cast<int>(std::thread::hardware_concurrency());
+  executors_ = std::clamp(options.workers > 0 ? options.workers : hardware, 1, shards_);
+  for (int e = 1; e < executors_; ++e) {
+    workers_.emplace_back([this, e] { WorkerLoop(e); });
   }
 }
 
 ShardRunner::~ShardRunner() {
-  if (workers_.empty()) return;
-  stopping_.store(true, std::memory_order_release);
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    stopping_.store(true, std::memory_order_release);
     wake_cv_.notify_all();
   }
   for (std::thread& worker : workers_) worker.join();
@@ -46,160 +52,55 @@ void ShardRunner::set_phase_observer(PhaseObserver observer) {
   timing_ = static_cast<bool>(observer_);
 }
 
-void ShardRunner::RunPhase(const std::function<void(int)>& fn) {
-  RunSelected(all_shards_, fn);
-}
-
-void ShardRunner::RunInline(const std::vector<int>& selected,
-                            const std::function<void(int)>& fn) {
-  if (!timing_) {
-    for (int shard : selected) fn(shard);
-    return;
-  }
-  std::fill(execute_seconds_.begin(), execute_seconds_.end(), 0.0);
-  if (selected.size() == 1) {
-    // The single call *is* the phase: one measurement serves as both and the
-    // stall is exactly zero.
-    Stopwatch watch;
-    fn(selected[0]);
-    const double elapsed = watch.ElapsedSeconds();
-    execute_seconds_[static_cast<size_t>(selected[0])] = elapsed;
-    observer_(elapsed, execute_seconds_);
-    return;
-  }
-  Stopwatch phase_watch;
-  for (int shard : selected) {
+void ShardRunner::RunShards(int executor, const std::function<void(int)>& fn,
+                            bool timed) {
+  for (int shard = executor; shard < shards_; shard += executors_) {
+    if (!timed) {
+      fn(shard);
+      continue;
+    }
     Stopwatch watch;
     fn(shard);
     execute_seconds_[static_cast<size_t>(shard)] = watch.ElapsedSeconds();
   }
-  observer_(phase_watch.ElapsedSeconds(), execute_seconds_);
 }
 
-void ShardRunner::ClaimTasks(uint64_t tag, int count,
-                             const std::function<void(int)>* fn, bool timed) {
-  uint64_t word = ticket_.load(std::memory_order_acquire);
-  for (;;) {
-    if ((word >> kTicketIndexBits) != tag) return;  // phase moved on: stale
-    const int index = static_cast<int>(word & kTicketIndexMask);
-    if (index >= count) return;  // range exhausted
-    if (!ticket_.compare_exchange_weak(word, word + 1,
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_acquire)) {
-      continue;  // lost the race; `word` was reloaded by the failed CAS
-    }
-    // The CAS succeeded with a matching tag, so the phase was live at the
-    // claim: the coordinator is still parked in RunSelected (our task keeps
-    // `remaining_` above zero), which keeps `tasks_`, `fn`, and the
-    // selection vector alive for the dereferences below.
-    const int shard = tasks_[static_cast<size_t>(index)];
-    if (timed) {
-      Stopwatch watch;
-      (*fn)(shard);
-      execute_seconds_[static_cast<size_t>(shard)] = watch.ElapsedSeconds();
-    } else {
-      (*fn)(shard);
-    }
-    if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Last task of the phase: wake the coordinator if it parked.
-      std::lock_guard<std::mutex> lock(mutex_);
-      done_cv_.notify_one();
-    }
-    word = ticket_.load(std::memory_order_acquire);
-  }
-}
-
-void ShardRunner::RunSelected(const std::vector<int>& selected,
-                              const std::function<void(int)>& fn) {
-  if (selected.empty()) return;
-  if (workers_.empty()) {
-    RunInline(selected, fn);
-    return;
-  }
-  Stopwatch watch;  // started before dispatch: every worker interval nests
-  const int count = static_cast<int>(selected.size());
-  assert(static_cast<uint64_t>(count) <= kTicketIndexMask);
+void ShardRunner::RunPhase(const std::function<void(int)>& fn) {
   const bool timed = timing_;
-  if (timed) std::fill(execute_seconds_.begin(), execute_seconds_.end(), 0.0);
-  uint64_t tag;
-  {
-    // Publish the phase descriptor. Workers copy it under the same mutex,
-    // so a worker can never observe a half-written descriptor; the epoch
-    // bump is what spinning workers poll for. Re-arming the ticket word
-    // with the new epoch's tag invalidates every outstanding stale claim
-    // attempt at once: a straggler's CAS fails on the tag instead of
-    // consuming one of this phase's live indices.
+  Stopwatch watch;  // started before dispatch: every worker interval nests
+  if (!workers_.empty()) {
     std::lock_guard<std::mutex> lock(mutex_);
     fn_ = &fn;
-    tasks_ = selected.data();
-    task_count_ = count;
-    timed_phase_ = timed;
-    remaining_.store(count, std::memory_order_relaxed);
-    tag = (epoch_.load(std::memory_order_relaxed) + 1) & kTicketEpochMask;
-    ticket_.store(tag << kTicketIndexBits, std::memory_order_relaxed);
-    epoch_.fetch_add(1, std::memory_order_release);
-    if (parked_ > 0) wake_cv_.notify_all();
+    timed_ = timed;
+    countdown_.store(executors_ - 1, std::memory_order_relaxed);
+    generation_.fetch_add(1, std::memory_order_release);
+    wake_cv_.notify_all();
   }
-  // Participate: the calling thread is an executor too.
-  ClaimTasks(tag, count, &fn, timed);
-  // Wait for stragglers still executing claimed tasks: bounded spin, then
-  // park on done_cv_.
-  int spins = 0;
-  while (remaining_.load(std::memory_order_acquire) != 0) {
-    if (++spins >= spin_iterations_) {
-      std::unique_lock<std::mutex> lock(mutex_);
-      done_cv_.wait(lock, [this] {
-        return remaining_.load(std::memory_order_acquire) == 0;
-      });
-      break;
-    }
-    std::this_thread::yield();
-  }
-  if (timed) observer_(watch.ElapsedSeconds(), execute_seconds_);
+  RunShards(0, fn, timed);
+  SpinThenPark(mutex_, done_cv_, [this] {
+    return countdown_.load(std::memory_order_acquire) == 0;
+  });
+  if (!timed) return;
+  // A one-shard phase is its shard's call: one measurement serves as both,
+  // and the stall is exactly zero.
+  observer_(shards_ == 1 ? execute_seconds_[0] : watch.ElapsedSeconds(),
+            execute_seconds_);
 }
 
-void ShardRunner::WorkerLoop() {
-  uint64_t seen = 0;
-  for (;;) {
-    // Wait for a new phase: bounded spin on the epoch, then park.
-    uint64_t epoch = epoch_.load(std::memory_order_acquire);
-    int spins = 0;
-    while (epoch == seen) {
-      if (stopping_.load(std::memory_order_acquire)) return;
-      if (++spins >= spin_iterations_) {
-        std::unique_lock<std::mutex> lock(mutex_);
-        ++parked_;
-        wake_cv_.wait(lock, [this, seen] {
-          return stopping_.load(std::memory_order_acquire) ||
-                 epoch_.load(std::memory_order_relaxed) != seen;
-        });
-        --parked_;
-        epoch = epoch_.load(std::memory_order_relaxed);
-        break;
-      }
-      std::this_thread::yield();
-      epoch = epoch_.load(std::memory_order_acquire);
-    }
+void ShardRunner::WorkerLoop(int executor) {
+  // The coordinator bumps the generation only after every worker counted
+  // down, so the phase after `seen` is always generation `seen + 1`.
+  for (uint64_t seen = 0;; ++seen) {
+    SpinThenPark(mutex_, wake_cv_, [this, seen] {
+      return stopping_.load(std::memory_order_acquire) ||
+             generation_.load(std::memory_order_acquire) != seen;
+    });
     if (stopping_.load(std::memory_order_acquire)) return;
-    if (epoch == seen) continue;
-    // Copy the current descriptor under the mutex. If this worker lagged a
-    // phase (or more), it syncs straight to the newest one; a stale epoch
-    // tag can never match the live ticket word, so a lagging worker either
-    // joins the live phase or fails its claim and comes back here.
-    const std::function<void(int)>* fn = nullptr;
-    uint64_t tag = 0;
-    int count = 0;
-    bool timed = false;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      seen = epoch_.load(std::memory_order_relaxed);
-      tag = seen & kTicketEpochMask;
-      fn = fn_;
-      count = task_count_;
-      timed = timed_phase_;
+    RunShards(executor, *fn_, timed_);
+    if (countdown_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      std::lock_guard<std::mutex> lock(mutex_);  // the coordinator may park
+      done_cv_.notify_one();
     }
-    if (fn == nullptr) continue;
-    ClaimTasks(tag, count, fn, timed);
   }
 }
 

@@ -11,43 +11,26 @@
 
 namespace laar::exec {
 
-/// A fixed crew of worker threads for phase-synchronous execution: every
-/// `RunPhase(fn)` call runs `fn(0) ... fn(shards-1)` concurrently and returns
-/// once all of them finished. The workers persist across phases, so a
-/// simulation with tens of thousands of conservative windows pays thread
-/// creation once, not per window.
+/// A fixed crew of worker threads for phase-synchronous execution:
+/// `RunPhase(fn)` runs `fn(0) ... fn(shards-1)` concurrently and returns once
+/// all of them finished, with everything the workers wrote visible to the
+/// caller and everything the caller wrote before visible to the workers.
+/// Workers persist across phases, so tens of thousands of conservative
+/// windows pay thread creation once.
 ///
-/// The runner is barrier-lean: phase dispatch and completion use atomics with
-/// a bounded spin before parking on a condition variable, so back-to-back
-/// short phases avoid the mutex round-trip entirely. Work is claimed from a
-/// shared ticket counter, which also powers `RunSelected` — dispatching only
-/// a subset of shards (idle-shard skip) without waking workers for no-ops.
+/// Executor `e` runs shards `e, e+E, ...`; the calling thread is executor 0.
+/// A phase is one bump of a generation counter by the coordinator and one
+/// countdown the workers decrement; both sides spin a bounded number of
+/// times before parking on a condition variable. The coordinator waits for
+/// every worker before its next bump, so no worker can fall a phase behind.
 ///
-/// The executor count is clamped to `std::thread::hardware_concurrency()` by
-/// default (override via `Options::workers`): on machines with fewer cores
-/// than shards, oversubscribed workers just context-switch through the same
-/// barriers, which is strictly slower than letting fewer executors claim
-/// multiple shards per phase. The calling thread always participates as one
-/// executor, so `workers() == 1` spawns no thread at all and `RunPhase` runs
-/// every shard inline — the single-shard configuration stays genuinely
-/// single-threaded, which is what makes it the byte-identity reference for
-/// sharded runs.
-///
-/// `RunPhase`/`RunSelected` provide full synchronization: everything the
-/// workers wrote during a phase is visible to the caller after the call
-/// returns, and everything the caller wrote before it is visible to the
-/// workers.
+/// There are `min(shards, Options::workers)` executors, 0 meaning the
+/// hardware concurrency. One executor spawns no thread, so one shard runs
+/// single-threaded: the byte-identity reference for sharded runs.
 class ShardRunner {
  public:
   struct Options {
-    /// Upper bound on concurrent executors (including the calling thread).
-    /// 0 means `std::thread::hardware_concurrency()`. The effective count is
-    /// additionally clamped to `shards` — more executors than shards can
-    /// never help.
-    int workers = 0;
-    /// How many times an idle worker (or the waiting coordinator) polls the
-    /// dispatch/completion atomics before parking on a condition variable.
-    int spin_iterations = 1 << 12;
+    int workers = 0;  ///< executor cap, caller included; 0 = hardware threads
   };
 
   explicit ShardRunner(int shards) : ShardRunner(shards, Options{}) {}
@@ -58,104 +41,49 @@ class ShardRunner {
   ShardRunner& operator=(const ShardRunner&) = delete;
 
   int shards() const { return shards_; }
-
-  /// Effective executor count after clamping (calling thread included).
-  /// `1` means fully inline: no worker thread exists.
+  /// Effective executor count, calling thread included (1 = fully inline).
   int workers() const { return executors_; }
 
-  /// Wall-clock timings of one completed phase, reported synchronously from
-  /// inside `RunPhase` on the calling thread. `phase_seconds` is the
-  /// coordinator's view of the whole phase (dispatch + slowest worker +
-  /// wake-up); `execute_seconds[s]` is the time shard `s` spent inside `fn`
-  /// (0.0 for shards not dispatched this phase). Each executed interval
-  /// nests inside the coordinator's, so `phase_seconds - execute_seconds[s]
-  /// >= 0` — with more than one executor that difference is shard `s`'s
-  /// barrier stall for the phase. A one-shard phase runs inline on the
-  /// coordinator, so it reports `execute_seconds[s] == phase_seconds`
-  /// (stall exactly zero). With a single executor (`workers() == 1`) a
-  /// multi-shard phase is one serial sweep: `phase_seconds` covers the whole
-  /// sweep, so `phase - execute[s]` is the *other* shards' execute time
-  /// (serialization, not barrier wait) — consumers that want pure barrier
-  /// stall must treat single-executor phases as zero-stall, as
-  /// `obs::EngineProfiler` does.
-  using PhaseObserver =
-      std::function<void(double phase_seconds,
-                         const std::vector<double>& execute_seconds)>;
+  /// Wall-clock of one phase, reported from inside `RunPhase` on the calling
+  /// thread: the coordinator's whole phase and each shard's time inside
+  /// `fn`. Shard intervals nest inside the phase, so with several executors
+  /// `phase - execute[s] >= 0` is shard `s`'s barrier stall; one shard
+  /// reports `execute[0] == phase`. With one executor a phase is a serial
+  /// sweep and `phase - execute[s]` is the other shards' time, not stall.
+  using PhaseObserver = std::function<void(
+      double phase_seconds, const std::vector<double>& execute_seconds)>;
 
-  /// Installs the observer invoked once per `RunPhase`/`RunSelected`. Must
-  /// be called before the first phase and never during one; pass an empty
-  /// function to disable. When no observer is installed, phases are not
-  /// timed at all.
+  /// Installs the per-phase observer (empty = no timing), between phases.
   void set_phase_observer(PhaseObserver observer);
 
   /// Runs `fn(shard)` on every shard and blocks until all calls return.
   /// `fn` must not call `RunPhase` reentrantly.
   void RunPhase(const std::function<void(int)>& fn);
 
-  /// Runs `fn(shard)` for exactly the shards in `selected` (each must be in
-  /// `[0, shards())`, no duplicates) and blocks until all calls return.
-  /// An empty selection returns immediately without invoking the observer.
-  void RunSelected(const std::vector<int>& selected,
-                   const std::function<void(int)>& fn);
-
  private:
-  void WorkerLoop();
-  void RunInline(const std::vector<int>& selected,
-                 const std::function<void(int)>& fn);
-  /// Claims and executes tasks of the phase identified by `tag`; returns
-  /// once the phase's index range is exhausted or the live ticket word
-  /// carries a different tag (the phase moved on). Shared by workers and
-  /// the coordinator. `fn` and `tasks_` are only dereferenced for a validly
-  /// claimed ticket, so a lagging worker holding a stale descriptor never
-  /// invokes a dead function object or touches a dead selection.
-  void ClaimTasks(uint64_t tag, int count, const std::function<void(int)>* fn,
-                  bool timed);
-
-  /// Ticket-word layout: the low `kTicketIndexBits` bits are the next
-  /// unclaimed index into `tasks_`, the high bits are the phase's epoch tag.
-  /// Claims are CAS increments that only succeed while the tag still matches
-  /// the claimant's phase, so a straggler holding a stale descriptor can
-  /// never consume (and thereby orphan) a live phase's index — its CAS fails
-  /// on the tag and it returns empty-handed instead. 2^20 tasks per phase is
-  /// far above any shard count; the 44-bit tag would need a worker to stall
-  /// across exactly 2^44 phases for an ABA collision.
-  static constexpr int kTicketIndexBits = 20;
-  static constexpr uint64_t kTicketIndexMask =
-      (uint64_t{1} << kTicketIndexBits) - 1;
-  static constexpr uint64_t kTicketEpochMask =
-      ~uint64_t{0} >> kTicketIndexBits;
+  void WorkerLoop(int executor);
+  void RunShards(int executor, const std::function<void(int)>& fn, bool timed);
 
   const int shards_;
   int executors_ = 1;
-  int spin_iterations_;
   std::vector<std::thread> workers_;
-  std::vector<int> all_shards_;  ///< 0..shards-1, the RunPhase selection
 
-  // Phase descriptor, written by the coordinator and copied by workers
-  // under `mutex_` (so no worker can observe a half-written descriptor);
-  // the `epoch_` bump is what spinning workers poll for.
+  // The phase in flight, written under `mutex_` before `generation_` moves.
   const std::function<void(int)>* fn_ = nullptr;
-  const int* tasks_ = nullptr;
-  int task_count_ = 0;
-  bool timed_phase_ = false;
+  bool timed_ = false;
 
-  std::atomic<uint64_t> epoch_{0};
-  /// Packed (epoch tag << kTicketIndexBits) | next-index word, re-armed by
-  /// the coordinator for every phase; see the layout comment above.
-  std::atomic<uint64_t> ticket_{0};
-  std::atomic<int> remaining_{0};
+  std::atomic<uint64_t> generation_{0};
+  std::atomic<int> countdown_{0};  ///< workers still running this phase
   std::atomic<bool> stopping_{false};
 
   std::mutex mutex_;
   std::condition_variable wake_cv_;  ///< workers park here between phases
   std::condition_variable done_cv_;  ///< coordinator parks here mid-phase
-  int parked_ = 0;                   ///< guarded by `mutex_`
 
   PhaseObserver observer_;
   bool timing_ = false;
-  /// Per-shard execute time of the current phase. Each slot is written by
-  /// exactly one executor during the phase and read by the coordinator after
-  /// `remaining_` hits zero (acq_rel on the decrements orders the reads).
+  /// [shard] execute time of this phase: written before the owner's acq_rel
+  /// countdown decrement, read by the coordinator once it reaches zero.
   std::vector<double> execute_seconds_;
 };
 

@@ -224,17 +224,8 @@ json::Value EngineProfile::ToJson() const {
       "cross_shard_bytes",
       json::Value::Int(
           static_cast<int64_t>(CrossShardTuples() * kNetMessageWireBytes)));
-  deterministic.Set("window_mode", json::Value::String(window_mode));
   deterministic.Set("dispatch_rounds",
                     json::Value::Int(static_cast<int64_t>(dispatch_rounds)));
-  json::Value lookahead = json::Value::MakeArray();
-  for (const std::vector<uint32_t>& row : lookahead_windows) {
-    json::Value cells = json::Value::MakeArray();
-    for (uint32_t windows : row)
-      cells.Append(json::Value::Int(static_cast<int64_t>(windows)));
-    lookahead.Append(std::move(cells));
-  }
-  deterministic.Set("lookahead_windows", std::move(lookahead));
   deterministic.Set("aggregate", DeterministicAggregateJson());
 
   json::Value per_shard = json::Value::MakeArray();
@@ -252,17 +243,6 @@ json::Value EngineProfile::ToJson() const {
               json::Value::Int(static_cast<int64_t>(
                   shard < shard_max_inbox.size() ? shard_max_inbox[shard]
                                                  : 0)));
-    entry.Set("windows_run",
-              json::Value::Int(static_cast<int64_t>(
-                  shard < shard_windows_run.size() ? shard_windows_run[shard]
-                                                   : 0)));
-    entry.Set("dispatches",
-              json::Value::Int(static_cast<int64_t>(
-                  shard < shard_dispatches.size() ? shard_dispatches[shard]
-                                                  : 0)));
-    entry.Set("skips", json::Value::Int(static_cast<int64_t>(
-                           shard < shard_skips.size() ? shard_skips[shard]
-                                                      : 0)));
     per_shard.Append(std::move(entry));
   }
   deterministic.Set("per_shard", std::move(per_shard));
@@ -343,9 +323,6 @@ Result<EngineProfile> EngineProfile::FromJson(const json::Value& value) {
 
   EngineProfile profile;
   profile.shards = static_cast<int>(GetU64Field(**deterministic, "shards"));
-  Result<std::string> mode =
-      (*deterministic)->GetOr("window_mode", empty_string).AsString();
-  profile.window_mode = mode.ok() ? *mode : "";
   profile.dispatch_rounds = GetU64Field(**deterministic, "dispatch_rounds");
   profile.window_seconds = GetDoubleField(**aggregate, "window_seconds");
   profile.windows = GetU64Field(**aggregate, "windows");
@@ -362,20 +339,6 @@ Result<EngineProfile> EngineProfile::FromJson(const json::Value& value) {
     profile.shard_events.push_back(GetU64Field(entry, "events"));
     profile.shard_inline_events.push_back(GetU64Field(entry, "inline_events"));
     profile.shard_max_inbox.push_back(GetU64Field(entry, "max_inbox_backlog"));
-    profile.shard_windows_run.push_back(GetU64Field(entry, "windows_run"));
-    profile.shard_dispatches.push_back(GetU64Field(entry, "dispatches"));
-    profile.shard_skips.push_back(GetU64Field(entry, "skips"));
-  }
-  for (const json::Value& row :
-       (*deterministic)->GetOr("lookahead_windows", empty_array).array()) {
-    std::vector<uint32_t> cells;
-    for (const json::Value& cell : row.array()) {
-      Result<int64_t> windows = cell.AsInt();
-      cells.push_back(windows.ok() && *windows >= 0
-                          ? static_cast<uint32_t>(*windows)
-                          : 0);
-    }
-    profile.lookahead_windows.push_back(std::move(cells));
   }
   const json::Value empty_object = json::Value::MakeObject();
   for (const json::Value& row : (*deterministic)
@@ -435,9 +398,6 @@ void EngineProfiler::Configure(int shards, double window_seconds) {
   profile_.shard_inline_events.assign(count, 0);
   profile_.shard_max_inbox.assign(count, 0);
   profile_.traffic_tuples.assign(count, std::vector<uint64_t>(count, 0));
-  profile_.shard_windows_run.assign(count, 0);
-  profile_.shard_dispatches.assign(count, 0);
-  profile_.shard_skips.assign(count, 0);
   profile_.shard_execute_seconds.assign(count, 0.0);
   profile_.shard_stall_seconds.assign(count, 0.0);
 }
@@ -486,29 +446,8 @@ void EngineProfiler::SetEngineEvents(uint64_t events) {
   profile_.engine_events = events;
 }
 
-void EngineProfiler::SetWindowMode(const char* mode) {
-  profile_.window_mode = mode == nullptr ? "" : mode;
-}
-
 void EngineProfiler::SetDispatchRounds(uint64_t rounds) {
   profile_.dispatch_rounds = rounds;
-}
-
-void EngineProfiler::SetLookahead(
-    const std::vector<std::vector<uint32_t>>& lookahead) {
-  profile_.lookahead_windows = lookahead;
-}
-
-void EngineProfiler::SetShardScheduling(int shard, uint64_t windows,
-                                        uint64_t dispatches, uint64_t skips) {
-  if (shard < 0 ||
-      static_cast<size_t>(shard) >= profile_.shard_windows_run.size()) {
-    return;
-  }
-  const size_t index = static_cast<size_t>(shard);
-  profile_.shard_windows_run[index] = windows;
-  profile_.shard_dispatches[index] = dispatches;
-  profile_.shard_skips[index] = skips;
 }
 
 void EngineProfiler::SetRunnerWorkers(int workers) {

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "laar/common/result.h"
@@ -55,20 +54,9 @@ struct EngineProfile {
   /// network). Bytes are `tuples * kNetMessageWireBytes`.
   std::vector<std::vector<uint64_t>> traffic_tuples;
 
-  // ---- deterministic: scheduling shape (mode-dependent) --------------
-  // Functions of the event timeline *and* the window mode — deterministic
-  // for a fixed configuration, but intentionally kept out of the aggregate
-  // subset, which is the mode- and shard-invariant slice.
-  std::string window_mode;       ///< "global" / "pairwise"; empty = sync engine
-  uint64_t dispatch_rounds = 0;  ///< coordinator planning rounds executed
-  /// [src][dst] per-shard-pair lookahead in windows (DESIGN.md §12):
-  /// the minimum latency factor over placed application edges crossing the
-  /// pair, 0 when no such edge exists. Empty unless the engine derived one
-  /// (pairwise mode).
-  std::vector<std::vector<uint32_t>> lookahead_windows;
-  std::vector<uint64_t> shard_windows_run;  ///< [shard] windows crossed
-  std::vector<uint64_t> shard_dispatches;   ///< [shard] rounds it was dispatched in
-  std::vector<uint64_t> shard_skips;        ///< [shard] idle rounds skipped
+  /// Coordinator rounds executed, one ShardRunner phase each (0 for the
+  /// synchronous engine). Not part of the hashed aggregate.
+  uint64_t dispatch_rounds = 0;
 
   // ---- deterministic: per window (shards-invariant series) -----------
   /// Per-window totals, in window order. Kept in memory for the Chrome
@@ -175,14 +163,8 @@ class EngineProfiler {
                       uint64_t max_inbox, uint64_t max_host_backlog);
   void SetControlEvents(uint64_t events);
   void SetEngineEvents(uint64_t events);
-  /// Window-scheduling shape (windowed engine only): mode name, planning
-  /// round total, the derived lookahead matrix, and per-shard scheduling
-  /// totals (windows crossed / rounds dispatched / idle rounds skipped).
-  void SetWindowMode(const char* mode);
+  /// Coordinator round total (windowed engine only).
   void SetDispatchRounds(uint64_t rounds);
-  void SetLookahead(const std::vector<std::vector<uint32_t>>& lookahead);
-  void SetShardScheduling(int shard, uint64_t windows, uint64_t dispatches,
-                          uint64_t skips);
 
   // -- measured hooks --
   /// Effective executor count reported by the ShardRunner.

@@ -16,18 +16,15 @@ namespace {
 /// True for flags that do not alter the simulated workload: output paths,
 /// the parallelism knobs, and trace-ring shape (the ring only bounds what
 /// the recorder keeps). "--metrics-out=x" and "--trace-out" both match;
-/// so does "--jobs" with or without a value. "--shards", "--window-mode",
-/// and "--runner-workers" qualify because the sharded engine is
-/// byte-identical across shard counts, window modes, and executor caps
-/// (DESIGN.md §10, §12) — unlike "--link-latency" and the topology latency
-/// factors, which change delivery semantics and therefore stay in the
-/// stamp.
+/// so does "--jobs" with or without a value. "--shards" qualifies because
+/// the sharded engine is byte-identical across shard counts (DESIGN.md §10)
+/// — unlike "--link-latency" and the topology latency factors, which change
+/// delivery semantics and therefore stay in the stamp.
 bool IsNonWorkloadFlag(const std::string& arg) {
   if (arg.rfind("--", 0) != 0) return false;
   const size_t eq = arg.find('=');
   const std::string name = arg.substr(2, eq == std::string::npos ? eq : eq - 2);
-  return name == "jobs" || name == "shards" || name == "window-mode" ||
-         name == "runner-workers" || name == "trace-categories" ||
+  return name == "jobs" || name == "shards" || name == "trace-categories" ||
          name == "trace-capacity" || EndsWith(name, "-out");
 }
 

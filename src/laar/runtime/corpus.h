@@ -24,9 +24,11 @@ struct CorpusOptions {
   int jobs = 1;
   /// Print per-application progress to stderr.
   bool verbose = true;
-  /// Give up after `num_apps * max_skips_factor` unusable seeds (instances
-  /// where FT-Search proves some L.x infeasible are skipped, like the
-  /// paper's corpus keeps only solvable ones).
+  /// Give up after `num_apps * max_skips_factor` unusable seeds. A seed is
+  /// skipped when some L.x search returns no strategy: either FT-Search
+  /// proved it infeasible or the search ran out of budget first. The
+  /// paper's corpus keeps only solvable instances; at a small node budget
+  /// this one also drops solvable but hard ones.
   int max_skips_factor = 20;
 };
 

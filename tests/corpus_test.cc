@@ -9,6 +9,7 @@
 #include "laar/obs/chrome_trace.h"
 #include "laar/runtime/corpus.h"
 #include "laar/runtime/report.h"
+#include "scoped_temp_dir.h"
 
 namespace laar::runtime {
 namespace {
@@ -99,10 +100,8 @@ TEST(CorpusTest, DomainOutageRecordsAndTracesAreJobsInvariant) {
   harness.run_host_crash = true;
   harness.run_domain_outage = true;
   harness.domain_outage_bursts = 2;
-  const std::filesystem::path serial_dir =
-      std::filesystem::temp_directory_path() / "laar_corpus_trace_serial";
-  std::filesystem::remove_all(serial_dir);
-  std::filesystem::create_directories(serial_dir);
+  const ScopedTempDir serial_temp("laar_corpus_trace_serial");
+  const std::filesystem::path& serial_dir = serial_temp.path();
   harness.trace_dir = serial_dir.string();
   const CorpusResult serial = RunCorpus(harness, TinyCorpus(1));
   ASSERT_EQ(serial.records.size(), 3u);
@@ -137,18 +136,12 @@ TEST(CorpusTest, DomainOutageRecordsAndTracesAreJobsInvariant) {
   EXPECT_TRUE(saw_outage_spans);
 
   for (int jobs : {2, 4}) {
-    const std::filesystem::path parallel_dir =
-        std::filesystem::temp_directory_path() /
-        ("laar_corpus_trace_jobs" + std::to_string(jobs));
-    std::filesystem::remove_all(parallel_dir);
-    std::filesystem::create_directories(parallel_dir);
-    harness.trace_dir = parallel_dir.string();
+    const ScopedTempDir parallel_dir("laar_corpus_trace_jobs" + std::to_string(jobs));
+    harness.trace_dir = parallel_dir.path().string();
     const CorpusResult parallel = RunCorpus(harness, TinyCorpus(jobs));
     EXPECT_EQ(CorpusToCsv(parallel.records), expected) << "jobs=" << jobs;
-    EXPECT_EQ(SlurpTraceDir(parallel_dir), serial_traces) << "jobs=" << jobs;
-    std::filesystem::remove_all(parallel_dir);
+    EXPECT_EQ(SlurpTraceDir(parallel_dir.path()), serial_traces) << "jobs=" << jobs;
   }
-  std::filesystem::remove_all(serial_dir);
 }
 
 TEST(CorpusTest, SerialCorpusMayShareFtSearchPool) {

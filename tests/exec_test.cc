@@ -341,8 +341,11 @@ TEST(ShardRunnerTest, EveryShardRunsOncePerPhase) {
 
 TEST(ShardRunnerTest, RunPhaseIsABarrier) {
   // Writes from phase n must be visible to phase n+1 on every shard, with
-  // no synchronization beyond RunPhase itself.
-  exec::ShardRunner runner(3);
+  // no synchronization beyond RunPhase itself. Three executors even on a
+  // 1- or 2-core machine, so TSan always sees worker threads.
+  exec::ShardRunner::Options options;
+  options.workers = 3;
+  exec::ShardRunner runner(3, options);
   std::vector<uint64_t> counters(3, 0);
   for (int phase = 0; phase < 100; ++phase) {
     uint64_t total = 0;
@@ -404,7 +407,9 @@ TEST(ShardRunnerTest, EmptyPhaseChurnIsCheap) {
 }
 
 TEST(ShardRunnerTest, PhaseObserverFiresOncePerPhaseWithNestedTimings) {
-  exec::ShardRunner runner(3);
+  exec::ShardRunner::Options options;
+  options.workers = 3;  // real worker threads on any machine
+  exec::ShardRunner runner(3, options);
   int observations = 0;
   runner.set_phase_observer(
       [&observations](double phase_seconds, const std::vector<double>& execute) {
@@ -454,72 +459,33 @@ TEST(ShardRunnerTest, EmptyObserverDisablesTiming) {
   EXPECT_EQ(observations, 1);
 }
 
-TEST(ShardRunnerTest, RunSelectedDispatchesOnlySelectedShards) {
-  exec::ShardRunner runner(6);
-  std::vector<int> calls(6, 0);
-  const auto bump = [&calls](int shard) { calls[static_cast<size_t>(shard)]++; };
-  // Varying subsets across phases, including singletons and the full set —
-  // the idle-shard skip dispatches a different selection every round.
-  runner.RunSelected({1, 4}, bump);
-  runner.RunSelected({0}, bump);
-  runner.RunSelected({0, 1, 2, 3, 4, 5}, bump);
-  runner.RunSelected({5, 2}, bump);
-  EXPECT_EQ(calls, (std::vector<int>{2, 2, 2, 1, 2, 2}));
-}
-
-TEST(ShardRunnerTest, RunSelectedEmptySelectionSkipsObserver) {
-  exec::ShardRunner runner(3);
-  int observations = 0;
-  runner.set_phase_observer(
-      [&observations](double, const std::vector<double>&) { ++observations; });
-  runner.RunSelected({}, [](int) { FAIL() << "no shard should run"; });
-  EXPECT_EQ(observations, 0);
-  runner.RunSelected({2}, [](int shard) { EXPECT_EQ(shard, 2); });
-  EXPECT_EQ(observations, 1);
-}
-
-TEST(ShardRunnerTest, RunSelectedObserverTimesOnlySelectedShards) {
-  exec::ShardRunner runner(4);
-  std::vector<double> seen;
-  runner.set_phase_observer(
-      [&seen](double, const std::vector<double>& execute_seconds) {
-        seen = execute_seconds;
-      });
-  runner.RunSelected({1, 3}, [](int) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  });
-  ASSERT_EQ(seen.size(), 4u);
-  EXPECT_EQ(seen[0], 0.0);  // not dispatched this phase
-  EXPECT_EQ(seen[2], 0.0);
-  EXPECT_GT(seen[1], 0.0);
-  EXPECT_GT(seen[3], 0.0);
-}
-
-TEST(ShardRunnerTest, StressStragglersNeverBurnLiveTickets) {
-  // Regression for the stale-claim hang: a worker lagging behind a phase
-  // switch issues one trailing claim attempt after its range is exhausted,
-  // and that attempt must fail on the ticket word's epoch tag instead of
-  // consuming one of the new phase's live indices — a burnt index means the
-  // task never runs, the completion count never drains, and the coordinator
-  // parks forever. Tiny selections with many workers and a minimal spin
-  // budget maximize stragglers racing the phase re-arm; this test hanging
-  // or timing out IS the failure signal.
+TEST(ShardRunnerTest, StressOversubscribedPhases) {
+  // Eight executors on fewer cores, and every 4000th phase a pause longer
+  // than the bounded spin on each side: first the coordinator idles (the
+  // workers park), then shard 7's worker does (the coordinator parks). A
+  // worker running a phase twice, or missing one, breaks the exact
+  // per-shard counts; a lost wake-up hangs the run — this test hanging or
+  // timing out IS the failure signal.
   exec::ShardRunner::Options options;
   options.workers = 8;
-  options.spin_iterations = 1;
   exec::ShardRunner runner(8, options);
-  std::vector<std::atomic<int>> calls(8);
-  const auto bump = [&calls](int shard) {
-    calls[static_cast<size_t>(shard)].fetch_add(1, std::memory_order_relaxed);
-  };
-  constexpr int kPhases = 20000;
+  ASSERT_EQ(runner.workers(), 8);
+  std::vector<int> calls(8, 0);
+  constexpr int kPhases = 40000;
+  constexpr auto kPause = std::chrono::milliseconds(20);
   for (int phase = 0; phase < kPhases; ++phase) {
-    runner.RunSelected({phase % 8}, bump);
-    runner.RunSelected({(phase + 3) % 8, (phase + 5) % 8}, bump);
+    const bool pause = phase % 4000 == 0;
+    if (pause) std::this_thread::sleep_for(kPause);
+    runner.RunPhase([&calls, phase, pause, kPause](int shard) {
+      if (pause && shard == 7) std::this_thread::sleep_for(kPause);
+      int& count = calls[static_cast<size_t>(shard)];
+      if (count != phase) ADD_FAILURE() << "shard " << shard << " phase " << phase;
+      ++count;
+    });
   }
-  int total = 0;
-  for (const std::atomic<int>& count : calls) total += count.load();
-  EXPECT_EQ(total, 3 * kPhases);
+  for (int shard = 0; shard < 8; ++shard) {
+    EXPECT_EQ(calls[static_cast<size_t>(shard)], kPhases) << "shard " << shard;
+  }
 }
 
 TEST(ShardRunnerTest, WorkersOptionCapsExecutors) {

@@ -23,6 +23,7 @@
 #include "laar/obs/trace_recorder.h"
 #include "laar/runtime/corpus.h"
 #include "laar/strategy/activation_strategy.h"
+#include "scoped_temp_dir.h"
 
 namespace laar {
 namespace {
@@ -580,9 +581,8 @@ std::string ReadFileBytes(const std::filesystem::path& path) {
 }
 
 TEST(CorpusTracingTest, TraceFilesAndRegistryAreIdenticalAcrossJobs) {
-  const std::filesystem::path base =
-      std::filesystem::path(::testing::TempDir()) / "laar_obs_corpus";
-  std::filesystem::remove_all(base);
+  const ScopedTempDir base_dir("laar_obs_corpus");
+  const std::filesystem::path& base = base_dir.path();
 
   runtime::CorpusOptions corpus;
   corpus.num_apps = 2;
@@ -631,7 +631,6 @@ TEST(CorpusTracingTest, TraceFilesAndRegistryAreIdenticalAcrossJobs) {
       EXPECT_EQ(metrics_dump, reference_metrics) << "jobs=" << jobs;
     }
   }
-  std::filesystem::remove_all(base);
 }
 
 // --------------------------------------------------------------- ftsearch

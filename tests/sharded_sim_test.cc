@@ -5,7 +5,6 @@
 // single-shard run is genuinely single-threaded (no worker is spawned), so
 // it doubles as the determinism reference the multi-shard runs are held to.
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -57,18 +56,11 @@ struct RunHashes {
 
 enum class Outage { kNone, kHostCrash, kRackOutage };
 
-constexpr RuntimeOptions::WindowMode kGlobalMode =
-    RuntimeOptions::WindowMode::kGlobal;
-constexpr RuntimeOptions::WindowMode kPairwiseMode =
-    RuntimeOptions::WindowMode::kPairwise;
-
 /// One windowed run of a generated application under static replication,
 /// with every observer attached, at the given shard count. Everything
-/// except `shards`, the window mode, and the topology latency factors is
-/// held fixed, so differing hashes can only come from the partitioning or
-/// the synchronization schedule.
+/// except `shards` and the topology latency factors is held fixed, so at
+/// equal factors differing hashes can only come from the partitioning.
 RunHashes RunSharded(uint64_t seed, int shards, Outage outage,
-                     RuntimeOptions::WindowMode mode = kGlobalMode,
                      int rack_factor = 1, int zone_factor = 1) {
   appgen::GeneratorOptions generator;
   generator.num_pes = 12;
@@ -92,7 +84,6 @@ RunHashes RunSharded(uint64_t seed, int shards, Outage outage,
   options.telemetry = &registry;
   options.link_latency_seconds = kLink;
   options.shards = shards;
-  options.window_mode = mode;
   options.rack_latency_factor = rack_factor;
   options.zone_latency_factor = zone_factor;
   StreamSimulation simulation(app->descriptor, app->cluster, app->placement, sr,
@@ -397,7 +388,7 @@ TEST(ShardedSimTest, ProfilerJsonRoundTripPreservesClosure) {
   EXPECT_TRUE(parsed->window_events.empty());
 }
 
-// --- adaptive per-shard-pair windows (DESIGN.md §12) ---
+// --- topology latency factors ---
 
 void ExpectSameHashes(const RunHashes& a, const RunHashes& b, const char* what) {
   EXPECT_EQ(a.metrics, b.metrics) << what;
@@ -406,43 +397,12 @@ void ExpectSameHashes(const RunHashes& a, const RunHashes& b, const char* what) 
   EXPECT_EQ(a.health, b.health) << what;
 }
 
-/// The pairwise schedule is an optimization, not a semantic: every exported
-/// artifact is byte-identical to the global-lockstep run at every shard
-/// count. The single-shard case doubles as the degenerate check that
-/// pairwise mode with one shard reduces to the inline engine.
-TEST(ShardedSimTest, PairwiseWindowModeIsUnobservable) {
-  const RunHashes global = RunSharded(6, 1, Outage::kNone);
-  ExpectSameHashes(global, RunSharded(6, 1, Outage::kNone, kPairwiseMode),
-                   "pairwise s1");
-  ExpectSameHashes(global, RunSharded(6, 2, Outage::kNone, kPairwiseMode),
-                   "pairwise s2");
-  ExpectSameHashes(global, RunSharded(6, 4, Outage::kNone, kPairwiseMode),
-                   "pairwise s4");
-}
-
-/// Crash and outage control events land mid-phase under pairwise skew, so
-/// they are the sharpest probe of the per-pair horizon: the artifacts must
-/// still match the global run byte for byte.
-TEST(ShardedSimTest, PairwiseWindowModeIsUnobservableUnderOutages) {
-  ExpectSameHashes(RunSharded(8, 1, Outage::kHostCrash),
-                   RunSharded(8, 4, Outage::kHostCrash, kPairwiseMode),
-                   "host crash, pairwise s4");
-  ExpectSameHashes(RunSharded(11, 1, Outage::kRackOutage),
-                   RunSharded(11, 2, Outage::kRackOutage, kPairwiseMode),
-                   "rack outage, pairwise s2");
-}
-
 /// Heterogeneous link-latency factors change delivery times (so their
 /// hashes differ from the factor-1 runs), but within a fixed factor set
-/// the shard count and window mode stay unobservable.
-TEST(ShardedSimTest, LatencyFactorsAreShardAndModeInvariant) {
-  const RunHashes ref = RunSharded(6, 1, Outage::kNone, kGlobalMode, 2, 4);
-  ExpectSameHashes(ref, RunSharded(6, 4, Outage::kNone, kGlobalMode, 2, 4),
-                   "global s4, factors 2/4");
-  ExpectSameHashes(ref, RunSharded(6, 1, Outage::kNone, kPairwiseMode, 2, 4),
-                   "pairwise s1, factors 2/4");
-  ExpectSameHashes(ref, RunSharded(6, 4, Outage::kNone, kPairwiseMode, 2, 4),
-                   "pairwise s4, factors 2/4");
+/// the shard count stays unobservable.
+TEST(ShardedSimTest, LatencyFactorsAreShardInvariant) {
+  const RunHashes ref = RunSharded(6, 1, Outage::kNone, 2, 4);
+  ExpectSameHashes(ref, RunSharded(6, 4, Outage::kNone, 2, 4), "s4, factors 2/4");
   // Sanity: the factors actually changed something vs the uniform topology.
   const RunHashes uniform = RunSharded(6, 1, Outage::kNone);
   EXPECT_NE(ref.metrics, uniform.metrics);
@@ -474,147 +434,12 @@ TEST(ShardedSimTest, BuildRejectsInvalidWindowConfigurations) {
     EXPECT_FALSE(run_with(options).ok());
   }
   {
-    // Pairwise scheduling only exists on the windowed engine.
-    RuntimeOptions options;
-    options.window_mode = kPairwiseMode;
-    EXPECT_FALSE(run_with(options).ok());
-  }
-  {
     // Latency factors scale the window width; without a window they are
     // meaningless and almost certainly a flag mistake.
     RuntimeOptions options;
     options.zone_latency_factor = 2;
     EXPECT_FALSE(run_with(options).ok());
   }
-}
-
-/// The lookahead matrix derived from placement + failure topology, checked
-/// cell by cell on a hand-built pipeline where every factor is knowable:
-/// source injection contributes factor-1 rows, cross-zone edges the zone
-/// factor, cross-rack edges the rack factor, and pairs with no placed edge
-/// (or only same-host deliveries) stay 0 (= unconstrained).
-TEST(ShardedSimTest, LookaheadMatrixDerivation) {
-  model::ApplicationDescriptor app;
-  model::ComponentId source = app.graph.AddSource("s");
-  model::ComponentId pe0 = app.graph.AddPe("p0");
-  model::ComponentId pe1 = app.graph.AddPe("p1");
-  model::ComponentId pe2 = app.graph.AddPe("p2");
-  model::ComponentId sink = app.graph.AddSink("k");
-  ASSERT_TRUE(app.graph.AddEdge(source, pe0, 1.0, 0.001 * kHz).ok());
-  ASSERT_TRUE(app.graph.AddEdge(pe0, pe1, 1.0, 0.001 * kHz).ok());
-  ASSERT_TRUE(app.graph.AddEdge(pe1, pe2, 1.0, 0.001 * kHz).ok());
-  ASSERT_TRUE(app.graph.AddEdge(pe2, sink, 1.0, 0.0).ok());
-  model::SourceRateSet r;
-  r.source = source;
-  r.rates = {4.0, 8.0};
-  r.labels = {"Low", "High"};
-  r.probabilities = {0.8, 0.2};
-  ASSERT_TRUE(app.input_space.AddSource(r).ok());
-  ASSERT_TRUE(app.Validate().ok());
-  // 4 hosts, one per rack, two racks per zone: hosts {0,1} form zone 0 and
-  // {2,3} zone 1. With 4 shards the host-to-shard map is the identity.
-  model::Cluster cluster = model::Cluster::Homogeneous(4, kHz);
-  cluster.set_topology(model::FailureTopology::Uniform(4, 1, 2));
-  model::ReplicaPlacement placement(app.graph.num_components(), 2);
-  ASSERT_TRUE(placement.Assign(pe0, 0, 0).ok());
-  ASSERT_TRUE(placement.Assign(pe0, 1, 1).ok());
-  ASSERT_TRUE(placement.Assign(pe1, 0, 2).ok());
-  ASSERT_TRUE(placement.Assign(pe1, 1, 3).ok());
-  ASSERT_TRUE(placement.Assign(pe2, 0, 3).ok());
-  ASSERT_TRUE(placement.Assign(pe2, 1, 2).ok());
-  strategy::ActivationStrategy sr =
-      strategy::MakeStaticReplication(app.graph, app.input_space, 2);
-  auto trace = InputTrace::Step(0, 1, 5.0, 10.0);
-  ASSERT_TRUE(trace.ok());
-  obs::EngineProfiler profiler;
-  RuntimeOptions options;
-  options.link_latency_seconds = kLink;
-  options.shards = 4;
-  options.window_mode = kPairwiseMode;
-  options.rack_latency_factor = 2;
-  options.zone_latency_factor = 5;
-  options.profiler = &profiler;
-  StreamSimulation simulation(app, cluster, placement, sr, *trace, options);
-  ASSERT_TRUE(simulation.Run().ok());
-  const obs::EngineProfile& profile = profiler.profile();
-  EXPECT_EQ(profile.window_mode, "pairwise");
-  // Row per source shard: the source (shard 0) feeds p0's replica shards
-  // {0, 1} at factor 1; p0 -> p1 crosses zones in all four replica pairings
-  // (factor 5); p1 -> p2 crosses racks inside zone 1, but only the
-  // cross-host pairings (2,3) and (3,2) count (factor 2) — the same-host
-  // ones are direct deliveries. Everything else carries no placed edge.
-  const std::vector<std::vector<uint32_t>> expected = {
-      {1, 1, 5, 5},
-      {0, 0, 5, 5},
-      {0, 0, 0, 2},
-      {0, 0, 2, 0},
-  };
-  EXPECT_EQ(profile.lookahead_windows, expected);
-}
-
-/// The acceptance criterion of the pairwise schedule: on a topology with a
-/// slow cross-zone link, the profiler's sync-overhead fraction is strictly
-/// lower than global lockstep's. Two single-replica-host PEs in different
-/// zones with a factor-8 link mean the downstream shard needs a barrier
-/// only every 8th window, and the upstream shard (no inbound cross-shard
-/// edge) free-runs between control events — while global mode pays a
-/// 2-thread barrier handoff every single window. Wall-clock measurements
-/// are noisy on a loaded box, so each mode takes its best of three runs.
-TEST(ShardedSimTest, PairwiseSyncOverheadLowerOnHeterogeneousTopology) {
-  model::ApplicationDescriptor app;
-  model::ComponentId source = app.graph.AddSource("s");
-  model::ComponentId pe0 = app.graph.AddPe("p0");
-  model::ComponentId pe1 = app.graph.AddPe("p1");
-  model::ComponentId sink = app.graph.AddSink("k");
-  ASSERT_TRUE(app.graph.AddEdge(source, pe0, 1.0, 0.0005 * kHz).ok());
-  ASSERT_TRUE(app.graph.AddEdge(pe0, pe1, 1.0, 0.0005 * kHz).ok());
-  ASSERT_TRUE(app.graph.AddEdge(pe1, sink, 1.0, 0.0).ok());
-  model::SourceRateSet r;
-  r.source = source;
-  r.rates = {20.0, 40.0};
-  r.labels = {"Low", "High"};
-  r.probabilities = {0.5, 0.5};
-  ASSERT_TRUE(app.input_space.AddSource(r).ok());
-  ASSERT_TRUE(app.Validate().ok());
-  // Two hosts in two different zones; both replicas of each PE pinned to
-  // one host (no anti-affinity required), so the only cross-shard edge is
-  // the slow zone link p0 (host 0 / shard 0) -> p1 (host 1 / shard 1).
-  model::Cluster cluster = model::Cluster::Homogeneous(2, kHz);
-  cluster.set_topology(model::FailureTopology::Uniform(2, 1, 1));
-  model::ReplicaPlacement placement(app.graph.num_components(), 2);
-  ASSERT_TRUE(placement.Assign(pe0, 0, 0).ok());
-  ASSERT_TRUE(placement.Assign(pe0, 1, 0).ok());
-  ASSERT_TRUE(placement.Assign(pe1, 0, 1).ok());
-  ASSERT_TRUE(placement.Assign(pe1, 1, 1).ok());
-  strategy::ActivationStrategy sr =
-      strategy::MakeStaticReplication(app.graph, app.input_space, 2);
-  auto trace = InputTrace::Step(0, 1, 30.0, 60.0);
-  ASSERT_TRUE(trace.ok());
-  auto best_overhead = [&](RuntimeOptions::WindowMode mode) {
-    double best = 1.0;
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      obs::EngineProfiler profiler;
-      RuntimeOptions options;
-      options.link_latency_seconds = 0.01;  // 6000 windows over the horizon
-      options.shards = 2;
-      options.runner_workers = 2;  // force real threads even on 1-core CI
-      options.window_mode = mode;
-      options.zone_latency_factor = 8;
-      options.profiler = &profiler;
-      StreamSimulation simulation(app, cluster, placement, sr, *trace,
-                                  options);
-      EXPECT_TRUE(simulation.Run().ok());
-      best = std::min(best, profiler.profile().SyncOverheadFraction());
-      if (attempt == 0) {
-        EXPECT_EQ(profiler.profile().runner_workers, 2)
-            << "mode " << profiler.profile().window_mode;
-      }
-    }
-    return best;
-  };
-  const double global = best_overhead(kGlobalMode);
-  const double pairwise = best_overhead(kPairwiseMode);
-  EXPECT_LT(pairwise, global);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 # or a doc comment). Catches the classic drift where a flag is added to
 # the code but never to the help.
 #
-# Scans tools/*.cc and bench/perf_baseline.cc for
+# Scans tools/*.cc for
 # `flags.GetString("name", ...)` / GetInt / GetDouble / GetUint64 /
 # `flags.Has("name")` and requires the literal `--name` in that file.
 #
@@ -14,7 +14,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 status=0
-for file in tools/*.cc bench/perf_baseline.cc; do
+for file in tools/*.cc; do
     [ -f "$file" ] || continue
     # One flag name per line, e.g. `trace-out`.
     flags=$(grep -oE 'flags\.(GetString|GetInt|GetDouble|GetUint64|Has)\("[A-Za-z0-9_-]+"' "$file" \

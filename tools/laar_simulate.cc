@@ -11,7 +11,6 @@
 //                 [--fail-domain=rack:R|zone:Z] [--crash-schedule=H@T+D,...]
 //                 [--worst-case] [--placement=balanced|roundrobin|domain]
 //                 [--jobs=N] [--shards=N] [--link-latency=S]
-//                 [--window-mode=global|pairwise] [--runner-workers=N]
 //                 [--rack-latency-factor=K] [--zone-latency-factor=K]
 //                 [--trace-out=run.json] [--trace-categories=drops,failures]
 //                 [--trace-capacity=N]
@@ -44,25 +43,18 @@
 // --link-latency=S switches tuple delivery to the conservative-window
 // engine (DESIGN.md §10): every cross-host transfer takes between one and
 // two link latencies, and --shards=N partitions the hosts over N event
-// engines that run on N threads. At a fixed --link-latency the shard count
-// never changes any output byte — it only changes wall-clock time — which
-// is why --shards > 1 demands an explicit --link-latency rather than
-// defaulting one (a default would silently switch engines between
-// --shards=1 and --shards=2). Incompatible with --latency-sample-rate (the
-// per-tuple causal tracer is a synchronous-engine feature).
+// engines that run on up to N threads (at most one per hardware thread;
+// the profile records the count as runner_workers). At a fixed
+// --link-latency the shard count never changes any output byte — it only
+// changes wall-clock time — which is why --shards > 1 demands an explicit
+// --link-latency rather than defaulting one (a default would silently
+// switch engines between --shards=1 and --shards=2). Incompatible with
+// --latency-sample-rate (the per-tuple causal tracer is a
+// synchronous-engine feature).
 //
-// --window-mode picks the windowed engine's synchronization schedule:
-// `global` (the default) advances every shard in lockstep windows;
-// `pairwise` (DESIGN.md §12) derives a per-shard-pair lookahead matrix from
-// the placed application edges and lets each shard sprint to the minimum of
-// its inbound neighbors' horizons, skipping idle shards entirely. Both
-// modes produce byte-identical artifacts — the mode only changes wall-clock
-// behavior. --rack-latency-factor / --zone-latency-factor (integers >= 1,
-// in windows) stretch cross-rack / cross-zone links on top of
-// --link-latency, widening the pairwise lookahead between distant shards.
-// --runner-workers caps the ShardRunner's executor threads (0 = the
-// machine's hardware concurrency; the effective value is recorded in the
-// profile as runner_workers).
+// --rack-latency-factor / --zone-latency-factor (integers >= 1, in
+// windows) stretch cross-rack / cross-zone links on top of --link-latency.
+// They change delivery times, so compare runs only at equal factors.
 //
 // --latency-sample-rate traces that fraction of each source's tuples through
 // every queue, operator, and replica proxy, and prints a per-operator
@@ -127,7 +119,6 @@ int main(int argc, char** argv) {
                  "       [--fail-domain=rack:R|zone:Z] [--crash-schedule=H@T+D,...]\n"
                  "       [--placement=balanced|roundrobin|domain]\n"
                  "       [--jobs=N] [--shards=N] [--link-latency=S]\n"
-                 "       [--window-mode=global|pairwise] [--runner-workers=N]\n"
                  "       [--rack-latency-factor=K] [--zone-latency-factor=K]\n"
                  "       [--trace-out=run.json] [--trace-categories=a,b,...]\n"
                  "       [--trace-capacity=N]\n"
@@ -193,17 +184,8 @@ int main(int argc, char** argv) {
   laar::dsps::RuntimeOptions runtime;
   runtime.shards = flags.GetInt("shards", 1);
   runtime.link_latency_seconds = flags.GetDouble("link-latency", 0.0);
-  const std::string window_mode = flags.GetString("window-mode", "global");
-  if (window_mode == "pairwise") {
-    runtime.window_mode = laar::dsps::RuntimeOptions::WindowMode::kPairwise;
-  } else if (window_mode != "global") {
-    std::fprintf(stderr, "--window-mode must be global or pairwise, got %s\n",
-                 window_mode.c_str());
-    return 2;
-  }
   runtime.rack_latency_factor = flags.GetInt("rack-latency-factor", 1);
   runtime.zone_latency_factor = flags.GetInt("zone-latency-factor", 1);
-  runtime.runner_workers = flags.GetInt("runner-workers", 0);
   if (runtime.shards > 1 && runtime.link_latency_seconds <= 0.0) {
     // A default here would silently change delivery semantics between
     // --shards=1 (synchronous engine) and --shards=2 (windowed engine),

@@ -272,12 +272,10 @@ int main(int argc, char** argv) {
         profile.shards, static_cast<unsigned long long>(profile.windows),
         profile.window_seconds * 1e3, profile.EmptyWindowFraction() * 100.0,
         static_cast<unsigned long long>(profile.engine_events));
-    if (!profile.window_mode.empty()) {
-      std::printf(
-          "  scheduling: %s mode, %llu dispatch rounds, %d runner workers\n",
-          profile.window_mode.c_str(),
-          static_cast<unsigned long long>(profile.dispatch_rounds),
-          profile.runner_workers);
+    if (profile.dispatch_rounds > 0) {
+      std::printf("  scheduling: %llu dispatch rounds, %d runner workers\n",
+                  static_cast<unsigned long long>(profile.dispatch_rounds),
+                  profile.runner_workers);
     }
     std::printf(
         "  cross-shard traffic %llu tuples (%llu bytes), barrier sink "
@@ -301,9 +299,8 @@ int main(int argc, char** argv) {
     // execute/stall split. Hot shards get flagged against the ideal share.
     const double threshold = flags.GetDouble("imbalance-threshold", 1.5);
     const uint64_t shard_total = profile.ShardEventTotal();
-    std::printf(
-        "  %-6s %12s %7s %9s %6s %12s %12s %6s\n", "shard", "events", "share",
-        "windows", "skips", "execute_ms", "stall_ms", "util");
+    std::printf("  %-6s %12s %7s %12s %12s %6s\n", "shard", "events",
+                "share", "execute_ms", "stall_ms", "util");
     for (size_t shard = 0; shard < profile.shard_events.size(); ++shard) {
       const uint64_t events =
           profile.shard_events[shard] +
@@ -320,15 +317,8 @@ int main(int argc, char** argv) {
                                             profile.shard_events.size()) >
               threshold * static_cast<double>(shard_total);
       std::printf(
-          "  %-6zu %12llu %6.1f%% %9llu %6llu %12.3f %12.3f %5.1f%%%s\n",
+          "  %-6zu %12llu %6.1f%% %12.3f %12.3f %5.1f%%%s\n",
           shard, static_cast<unsigned long long>(events), share * 100.0,
-          static_cast<unsigned long long>(
-              shard < profile.shard_windows_run.size()
-                  ? profile.shard_windows_run[shard]
-                  : 0),
-          static_cast<unsigned long long>(
-              shard < profile.shard_skips.size() ? profile.shard_skips[shard]
-                                                 : 0),
           (shard < profile.shard_execute_seconds.size()
                ? profile.shard_execute_seconds[shard]
                : 0.0) * 1e3,

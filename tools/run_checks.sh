@@ -11,9 +11,8 @@
 #    simulate with a correlated rack outage and an explicit overlapping
 #    crash schedule), then the forensics loop on the outage run:
 #    validate + explain the trace, diff the two placements, and require
-#    the artifacts to be byte-identical across --jobs, across
-#    --shards=1/4 at a fixed --link-latency, and across
-#    --window-mode=global/pairwise (the sharded-engine contract),
+#    the artifacts to be byte-identical across --jobs and across
+#    --shards=1/4 at a fixed --link-latency (the sharded-engine contract),
 # 6. engine-profile smoke: profiled sharded runs at --shards=1/4 must
 #    summarize cleanly (`laar_trace profile` validates the event closure),
 #    their deterministic aggregates and profiled metrics must be
@@ -99,20 +98,6 @@ sharded_sim --shards=4 \
 cmp "$SMOKE_DIR/domain.s1.trace.json" "$SMOKE_DIR/domain.s4.trace.json"
 cmp "$SMOKE_DIR/domain.s1.metrics.json" "$SMOKE_DIR/domain.s4.metrics.json"
 
-# The adaptive per-pair window schedule is an optimization, not a semantic:
-# pairwise runs must reproduce the global artifacts byte for byte, at one
-# shard (the degenerate inline engine) and at four.
-sharded_sim --shards=1 --window-mode=pairwise \
-    --trace-out="$SMOKE_DIR/domain.pw1.trace.json" \
-    --metrics-out="$SMOKE_DIR/domain.pw1.metrics.json"
-sharded_sim --shards=4 --window-mode=pairwise \
-    --trace-out="$SMOKE_DIR/domain.pw4.trace.json" \
-    --metrics-out="$SMOKE_DIR/domain.pw4.metrics.json"
-cmp "$SMOKE_DIR/domain.s1.trace.json" "$SMOKE_DIR/domain.pw1.trace.json"
-cmp "$SMOKE_DIR/domain.s1.metrics.json" "$SMOKE_DIR/domain.pw1.metrics.json"
-cmp "$SMOKE_DIR/domain.s1.trace.json" "$SMOKE_DIR/domain.pw4.trace.json"
-cmp "$SMOKE_DIR/domain.s1.metrics.json" "$SMOKE_DIR/domain.pw4.metrics.json"
-
 echo "== [6/7] engine-profile smoke (--profile-out + laar_trace profile) =="
 # Profiled runs at two shard counts. `laar_trace profile` re-validates the
 # event closure (exit 1 on mismatch) and extracts the deterministic
@@ -132,15 +117,6 @@ sharded_sim --shards=4 \
     --aggregate-out="$SMOKE_DIR/profile.s4.agg.json"
 cmp "$SMOKE_DIR/profile.s1.agg.json" "$SMOKE_DIR/profile.s4.agg.json"
 cmp "$SMOKE_DIR/profiled.s1.metrics.json" "$SMOKE_DIR/profiled.s4.metrics.json"
-# The pairwise schedule must leave the deterministic aggregate and the
-# metrics artifact untouched too (only the measured section may move).
-sharded_sim --shards=4 --window-mode=pairwise \
-    --profile-out="$SMOKE_DIR/profile.pw4.json" \
-    --metrics-out="$SMOKE_DIR/profiled.pw4.metrics.json"
-"./$BUILD_DIR/tools/laar_trace" profile --in="$SMOKE_DIR/profile.pw4.json" \
-    --aggregate-out="$SMOKE_DIR/profile.pw4.agg.json"
-cmp "$SMOKE_DIR/profile.s1.agg.json" "$SMOKE_DIR/profile.pw4.agg.json"
-cmp "$SMOKE_DIR/profiled.s1.metrics.json" "$SMOKE_DIR/profiled.pw4.metrics.json"
 # A profiled trace gains the shard-runner track; it must still be valid
 # Chrome trace JSON (per-lane timestamp monotonicity, known phase set).
 sharded_sim --shards=4 \
