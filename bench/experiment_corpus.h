@@ -46,8 +46,7 @@ inline runtime::HarnessOptions HarnessFromFlags(const Flags& flags) {
   // machine load, so --jobs=N reproduces the --jobs=1 records exactly.
   // --time-limit restores a wall-clock cap, at the price of that
   // invariance.
-  options.variants.ftsearch_node_limit =
-      static_cast<uint64_t>(flags.GetInt("node-limit", 2000000));
+  options.variants.ftsearch_node_limit = flags.GetUint64("node-limit", 2000000);
   options.variants.ftsearch_time_limit_seconds = flags.GetDouble("time-limit", 0.0);
   options.trace_seconds = flags.GetDouble("trace-seconds", 120.0);
   options.trace_cycles = flags.GetInt("trace-cycles", 3);

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <string>
@@ -6,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "laar/common/flags.h"
 #include "laar/common/result.h"
 #include "laar/common/rng.h"
 #include "laar/common/stats.h"
@@ -408,6 +410,48 @@ TEST(DeadlineTest, FutureDeadlineNotYetExpired) {
   Deadline d = Deadline::After(60.0);
   EXPECT_FALSE(d.Expired());
   EXPECT_GT(d.RemainingSeconds(), 50.0);
+}
+
+// --------------------------------------------------------------------------
+// Flags
+// --------------------------------------------------------------------------
+
+/// Parses `args` as a tool's argv (the program name is prepended).
+Flags ParseFlags(std::vector<std::string> args) {
+  args.insert(args.begin(), "tool");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  return Flags(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(FlagsTest, AcceptsWellFormedValues) {
+  const Flags flags = ParseFlags({"--crash", "--jobs=-3", "--limit=1e9",
+                                  "--seed=18446744073709551615", "--name=x"});
+  EXPECT_EQ(flags.GetInt("crash", 0), 1);  // a bare flag reads as 1
+  EXPECT_EQ(flags.GetInt("jobs", 0), -3);
+  EXPECT_EQ(flags.GetDouble("limit", 0.0), 1e9);
+  EXPECT_EQ(flags.GetUint64("seed", 0), std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(flags.GetString("name", ""), "x");
+  EXPECT_EQ(flags.GetInt("absent", 7), 7);
+}
+
+TEST(FlagsDeathTest, RejectsMalformedNumbers) {
+  const Flags flags = ParseFlags({"--jobs=abc", "--apps=1.5", "--empty=", "--ic=0.6x",
+                                  "--node-limit=5000000000", "--seed=-1",
+                                  "--time-limit=1e999", "--capacity=nan"});
+  const auto exits_2 = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(flags.GetInt("jobs", 0), exits_2, "--jobs: expected an integer, got \"abc\"");
+  EXPECT_EXIT(flags.GetInt("apps", 0), exits_2, "--apps: expected an integer, got \"1.5\"");
+  EXPECT_EXIT(flags.GetInt("empty", 0), exits_2, "--empty: expected an integer, got \"\"");
+  EXPECT_EXIT(flags.GetDouble("empty", 0.0), exits_2, "--empty: expected a number");
+  EXPECT_EXIT(flags.GetDouble("ic", 0.0), exits_2, "--ic: expected a number");
+  EXPECT_EXIT(flags.GetInt("node-limit", 0), exits_2,
+              "--node-limit: expected an integer in \\[-2147483648, 2147483647\\]");
+  EXPECT_EXIT(flags.GetUint64("seed", 0), exits_2, "--seed: expected a non-negative integer");
+  EXPECT_EXIT(flags.GetDouble("time-limit", 0.0), exits_2,
+              "--time-limit: expected a finite number");
+  EXPECT_EXIT(flags.GetDouble("capacity", 0.0), exits_2,
+              "--capacity: expected a finite number");
 }
 
 }  // namespace
