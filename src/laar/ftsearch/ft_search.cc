@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -28,8 +29,13 @@ constexpr uint8_t kMaskAll = 7;
 
 constexpr double kEpsilon = 1e-9;
 
-/// One incoming edge of a PE, pre-resolved for the inner loop.
-struct PredEdge {
+/// Stop checks between two charges to the shared budget, unless a node
+/// limit needs a charge sooner (SearchContext::NextCharge).
+constexpr uint64_t kStopCheckStride = 512;
+
+/// One incoming edge of a variable's PE, pre-resolved for the inner loops.
+struct VarEdge {
+  int pred_var;  // the predecessor's variable in the same configuration; -1 for a source
   model::ComponentId from;
   double selectivity;
 };
@@ -45,6 +51,9 @@ struct Variable {
   double arrival_ff = 0.0;   // failure-free arrival rate (FIC upper bound term)
   model::HostId host0 = model::kInvalidHost;
   model::HostId host1 = model::kInvalidHost;
+  /// Incoming edges: Problem::edges[edges_begin, edges_end), in graph order.
+  uint32_t edges_begin = 0;
+  uint32_t edges_end = 0;
 };
 
 /// Immutable description of one FT-Search instance.
@@ -56,8 +65,11 @@ struct Problem {
   FtSearchOptions options;
 
   std::vector<Variable> vars;
-  /// var_at[config * num_components + pe] -> variable position, or -1.
-  std::vector<int> var_at;
+  /// Every variable's incoming edges, concatenated in variable order.
+  std::vector<VarEdge> edges;
+  /// Successor PE variables of each variable, same configuration (for DOM
+  /// propagation).
+  std::vector<std::vector<int>> succ_vars;
   /// suffix_ub[d] = optimistic FIC (per second) achievable by variables
   /// d..end, assuming every undecided PE keeps both replicas active and
   /// receives its full failure-free inflow (Δ̂ <= Δ).
@@ -65,10 +77,6 @@ struct Problem {
   /// block_end[d]: index one past the last variable of the configuration
   /// block containing variable d (blocks are |P| variables long).
   std::vector<int> block_end;
-  /// Incoming PE/source edges of each component, pre-resolved.
-  std::vector<std::vector<PredEdge>> preds;
-  /// Successor PE ids of each component (for DOM propagation).
-  std::vector<std::vector<model::ComponentId>> pe_succs;
   std::vector<double> capacity;  // per host
 
   double bic_per_sec = 0.0;
@@ -76,10 +84,6 @@ struct Problem {
   double base_cost_lb = 0.0;     // one active replica everywhere (Eq. 12 minimum)
   size_t num_components = 0;
   int num_vars = 0;
-
-  int VarIndex(model::ConfigId config, model::ComponentId pe) const {
-    return var_at[static_cast<size_t>(config) * num_components + static_cast<size_t>(pe)];
-  }
 };
 
 /// State shared between parallel workers.
@@ -99,17 +103,19 @@ struct SharedState {
 
   std::atomic<bool> stop{false};
   std::atomic<bool> timed_out{false};
+  /// Stop checks charged so far: the unit of `node_limit`.
   std::atomic<uint64_t> nodes_total{0};
 
   /// Global mirrors of the per-worker statistics, fed by amortized flushes;
   /// progress reporting only (the exact totals come from MergeFrom).
+  std::atomic<uint64_t> nodes_explored{0};
   std::atomic<uint64_t> solutions_total{0};
   std::atomic<uint64_t> cpu_prunes{0};
   std::atomic<uint64_t> compl_prunes{0};
   std::atomic<uint64_t> cost_prunes{0};
   std::atomic<uint64_t> dom_prunes{0};
-  /// Node count at which the next progress callback fires; a CAS elects the
-  /// single worker that reports each threshold.
+  /// Explored-node count at which the next progress callback fires; a CAS
+  /// elects the single worker that reports each threshold.
   std::atomic<uint64_t> next_progress{0};
 
   Stopwatch watch;
@@ -149,6 +155,7 @@ class SearchContext {
       : problem_(problem),
         shared_(shared),
         record_first_(record_first),
+        serial_(problem.options.num_threads <= 1),
         scratch_(problem.num_components, 0.0),
         assignment_(static_cast<size_t>(problem.num_vars), -1),
         mask_(static_cast<size_t>(problem.num_vars), kMaskAll),
@@ -160,6 +167,8 @@ class SearchContext {
         loads_(static_cast<size_t>(problem.space->num_configs()) * problem.capacity.size(),
                0.0),
         cost_lb_(problem.base_cost_lb) {
+    charge_ = NextCharge(0);
+    checks_until_charge_ = charge_;
     // Sources seed the Δ̂ recursion (Eq. 7 first case) and the certain-zero
     // flags driving DOM propagation.
     const model::ConfigId num_configs = problem.space->num_configs();
@@ -196,7 +205,8 @@ class SearchContext {
         count_stats_ = true;
         return false;
       }
-      if (!Bind(static_cast<int>(d), prefix[d])) {
+      std::optional<double> single_rest;  // each binding is a node of its own
+      if (!Bind(static_cast<int>(d), prefix[d], &single_rest)) {
         count_stats_ = true;
         return false;
       }
@@ -214,9 +224,10 @@ class SearchContext {
       RecordSolution();
       return;
     }
+    std::optional<double> single_rest;
     for (int value : ValueOrder()) {
       if ((mask_[static_cast<size_t>(depth)] & kMaskOf[value]) == 0) continue;
-      if (Bind(depth, value)) {
+      if (Bind(depth, value, &single_rest)) {
         Dfs(depth + 1);
         Unbind(depth, value);
       }
@@ -235,9 +246,10 @@ class SearchContext {
       return;
     }
     ++stats_.nodes_explored;
+    std::optional<double> single_rest;
     for (int value : ValueOrder()) {
       if ((mask_[static_cast<size_t>(depth)] & kMaskOf[value]) == 0) continue;
-      if (Bind(depth, value)) {
+      if (Bind(depth, value, &single_rest)) {
         current->push_back(value);
         CollectPrefixes(depth + 1, split_depth, current, out);
         current->pop_back();
@@ -256,8 +268,11 @@ class SearchContext {
   };
 
   double& DeltaHat(model::ConfigId c, model::ComponentId id) {
-    return delta_hat_[static_cast<size_t>(c) * problem_.num_components +
-                      static_cast<size_t>(id)];
+    return DeltaHatRow(c)[id];
+  }
+  /// Δ̂ of every component in configuration `c`, indexed by component.
+  double* DeltaHatRow(model::ConfigId c) {
+    return delta_hat_.data() + static_cast<size_t>(c) * problem_.num_components;
   }
   uint8_t& Zero(model::ConfigId c, model::ComponentId id) {
     return zero_[static_cast<size_t>(c) * problem_.num_components + static_cast<size_t>(id)];
@@ -273,31 +288,52 @@ class SearchContext {
     return problem_.options.try_both_first ? kBothFirst : kSingleFirst;
   }
 
+  /// The budget check, run when a node is entered and after each value is
+  /// tried. It counts down locally and charges the shared budget only every
+  /// `charge_` calls (ChargeBudget).
   bool ShouldStop() {
+    // Parallel workers see each other's stop on the next call; a serial
+    // search is the only one that sets it.
+    if (!serial_ && shared_->stop.load(std::memory_order_relaxed)) return true;
+    if (--checks_until_charge_ != 0) return false;
+    return ChargeBudget();
+  }
+
+  /// ShouldStop's slow path: charges the last `charge_` calls to the shared
+  /// budget, tests the deadline and the node limit, and reports progress.
+  bool ChargeBudget() {
+    checks_until_charge_ = 1;  // once stopped, every later call lands here
     if (shared_->stop.load(std::memory_order_relaxed)) return true;
-    // Deadline checks are amortized; the node limit (the deterministic
-    // budget) must be exact, so it forces a per-node check.
-    const uint64_t stride = shared_->node_limit != 0 ? 1 : 512;
-    if (++stop_check_counter_ % stride == 0) {
-      shared_->nodes_total.fetch_add(stride, std::memory_order_relaxed);
-      const bool over_nodes =
-          shared_->node_limit != 0 &&
-          shared_->nodes_total.load(std::memory_order_relaxed) >= shared_->node_limit;
-      if (shared_->deadline.Expired() || over_nodes) {
-        shared_->timed_out.store(true);
-        shared_->stop.store(true);
-        return true;
-      }
-      if (problem_.options.progress) {
-        FlushSharedCounters();
-        MaybeEmitProgress();
-      }
+    const uint64_t total =
+        shared_->nodes_total.fetch_add(charge_, std::memory_order_relaxed) + charge_;
+    if (shared_->deadline.Expired() ||
+        (shared_->node_limit != 0 && total >= shared_->node_limit)) {
+      shared_->timed_out.store(true);
+      shared_->stop.store(true);
+      return true;
     }
+    if (problem_.options.progress) {
+      FlushSharedCounters();
+      MaybeEmitProgress();
+    }
+    charge_ = NextCharge(total);
+    checks_until_charge_ = charge_;
     return false;
   }
 
+  /// Calls to count locally before the next charge, `total` checks having
+  /// been charged. A serial search owns its whole budget: it charges every
+  /// kStopCheckStride calls and lands exactly on the node limit. Parallel
+  /// workers share the limit, so with one set each call is charged.
+  uint64_t NextCharge(uint64_t total) const {
+    const uint64_t limit = shared_->node_limit;
+    if (limit == 0) return kStopCheckStride;
+    if (!serial_) return 1;
+    return std::min(kStopCheckStride, limit - total);
+  }
+
   /// Pushes the local counter deltas since the last flush into the shared
-  /// atomics (amortized by the ShouldStop stride; progress reporting only).
+  /// atomics (amortized by the budget charges; progress reporting only).
   void FlushSharedCounters() {
     auto push = [](std::atomic<uint64_t>* target, uint64_t current, uint64_t* last) {
       if (current != *last) {
@@ -305,6 +341,7 @@ class SearchContext {
         *last = current;
       }
     };
+    push(&shared_->nodes_explored, stats_.nodes_explored, &flushed_.nodes_explored);
     push(&shared_->solutions_total, stats_.solutions_found, &flushed_.solutions_found);
     push(&shared_->cpu_prunes, stats_.cpu.count, &flushed_.cpu.count);
     push(&shared_->compl_prunes, stats_.compl_.count, &flushed_.compl_.count);
@@ -312,12 +349,12 @@ class SearchContext {
     push(&shared_->dom_prunes, stats_.dom.count, &flushed_.dom.count);
   }
 
-  /// Fires the progress callback if the global node count crossed the next
-  /// threshold; the CAS guarantees one invocation per threshold.
+  /// Fires the progress callback if the global explored-node count crossed
+  /// the next threshold; the CAS guarantees one invocation per threshold.
   void MaybeEmitProgress() {
     const uint64_t interval =
         std::max<uint64_t>(1, problem_.options.progress_interval_nodes);
-    const uint64_t nodes = shared_->nodes_total.load(std::memory_order_relaxed);
+    const uint64_t nodes = shared_->nodes_explored.load(std::memory_order_relaxed);
     uint64_t expected = shared_->next_progress.load(std::memory_order_relaxed);
     while (nodes >= expected) {
       if (shared_->next_progress.compare_exchange_weak(expected, nodes + interval,
@@ -330,7 +367,11 @@ class SearchContext {
 
   /// Attempts to bind variable `depth` to `value`, applying the CPU, COST,
   /// COMPL, and DOM rules. Returns false (fully undone) when pruned.
-  bool Bind(int depth, int value) {
+  /// `single_rest` caches the tight COMPL remainder for the node's two
+  /// single-replica values: both leave Δ̂ = 0 at the variable, so
+  /// TightRemainder returns the same bits for each. The caller owns it, one
+  /// per node.
+  bool Bind(int depth, int value, std::optional<double>* single_rest) {
     const Variable& var = problem_.vars[static_cast<size_t>(depth)];
     const FtSearchOptions& options = problem_.options;
 
@@ -354,14 +395,16 @@ class SearchContext {
     if (use0) Load(var.config, var.host0) += var.demand;
     if (use1) Load(var.config, var.host1) += var.demand;
     const double phi = value == kBoth ? 1.0 : 0.0;
+    double* const delta_row = DeltaHatRow(var.config);
+    const VarEdge* const edges = problem_.edges.data();
     double inflow_delta = 0.0;
     double inflow_fic = 0.0;
-    for (const PredEdge& pe_edge : problem_.preds[static_cast<size_t>(var.pe)]) {
-      const double upstream = DeltaHat(var.config, pe_edge.from);
-      inflow_delta += pe_edge.selectivity * upstream;
+    for (const VarEdge* e = edges + var.edges_begin; e != edges + var.edges_end; ++e) {
+      const double upstream = delta_row[e->from];
+      inflow_delta += e->selectivity * upstream;
       inflow_fic += upstream;
     }
-    DeltaHat(var.config, var.pe) = phi * inflow_delta;
+    delta_row[var.pe] = phi * inflow_delta;
     const double fic_contribution = var.prob * phi * inflow_fic;
     bound_fic_[static_cast<size_t>(depth)] = fic_contribution;
     fic_partial_ += fic_contribution;
@@ -387,8 +430,14 @@ class SearchContext {
         // φ = 1 but inherit the decided upstream Δ̂; later configurations
         // contribute their failure-free maximum (== the φ ≡ 1 optimum).
         const int block_end = problem_.block_end[static_cast<size_t>(depth)];
-        fic_ub = fic_partial_ + TightRemainder(depth, block_end) +
-                 problem_.suffix_ub[static_cast<size_t>(block_end)];
+        double rest;
+        if (value == kBoth) {
+          rest = TightRemainder(depth, block_end);
+        } else {
+          if (!single_rest->has_value()) *single_rest = TightRemainder(depth, block_end);
+          rest = **single_rest;
+        }
+        fic_ub = fic_partial_ + rest + problem_.suffix_ub[static_cast<size_t>(block_end)];
       } else {
         fic_ub = fic_partial_ + problem_.suffix_ub[static_cast<size_t>(depth) + 1];
       }
@@ -401,7 +450,7 @@ class SearchContext {
 
     // --- Forward domain propagation. ---
     if (options.enable_dom_propagation && value != kBoth) {
-      PropagateZero(var.config, var.pe, depth);
+      PropagateZero(depth, depth);
     }
     return true;
   }
@@ -428,32 +477,33 @@ class SearchContext {
     assignment_[static_cast<size_t>(depth)] = -1;
   }
 
-  /// Marks component (`config`, `id`)'s output as certainly zero and
-  /// removes the both-active value from the domains of successors whose
-  /// entire inflow became certainly zero ("no replication forwarding",
-  /// §4.5 DOM). `bound_depth` is where the triggering binding happened; the
+  /// Marks variable `var_index`'s output as certainly zero and removes the
+  /// both-active value from the domains of successors whose entire inflow
+  /// became certainly zero ("no replication forwarding", §4.5 DOM).
+  /// `bound_depth` is where the triggering binding happened; the
   /// pruned-branch height of a DOM removal is measured from the removed
   /// variable's own tree level.
-  void PropagateZero(model::ConfigId config, model::ComponentId id, int bound_depth) {
-    uint8_t& flag = Zero(config, id);
+  void PropagateZero(int var_index, int bound_depth) {
+    const Variable& var = problem_.vars[static_cast<size_t>(var_index)];
+    uint8_t& flag = Zero(var.config, var.pe);
     if (flag != 0) return;
     trail_.push_back(TrailEntry{TrailEntry::kZeroChange,
                                 static_cast<uint32_t>(
-                                    static_cast<size_t>(config) * problem_.num_components +
-                                    static_cast<size_t>(id)),
+                                    static_cast<size_t>(var.config) * problem_.num_components +
+                                    static_cast<size_t>(var.pe)),
                                 flag});
     flag = 1;
-    for (model::ComponentId succ : problem_.pe_succs[static_cast<size_t>(id)]) {
-      if (Zero(config, succ) != 0) continue;
+    for (int succ_var : problem_.succ_vars[static_cast<size_t>(var_index)]) {
+      const Variable& succ = problem_.vars[static_cast<size_t>(succ_var)];
+      if (Zero(var.config, succ.pe) != 0) continue;
       bool all_zero = true;
-      for (const PredEdge& pe_edge : problem_.preds[static_cast<size_t>(succ)]) {
-        if (Zero(config, pe_edge.from) == 0) {
+      for (uint32_t e = succ.edges_begin; e < succ.edges_end; ++e) {
+        if (Zero(var.config, problem_.edges[e].from) == 0) {
           all_zero = false;
           break;
         }
       }
       if (!all_zero) continue;
-      const int succ_var = problem_.VarIndex(config, succ);
       if (succ_var > bound_depth) {
         uint8_t& succ_mask = mask_[static_cast<size_t>(succ_var)];
         if ((succ_mask & kMaskOf[kBoth]) != 0) {
@@ -467,7 +517,7 @@ class SearchContext {
           }
         }
       }
-      PropagateZero(config, succ, bound_depth);
+      PropagateZero(succ_var, bound_depth);
     }
   }
 
@@ -475,20 +525,22 @@ class SearchContext {
   /// variables (bound_depth, block_end) of the current configuration.
   double TightRemainder(int bound_depth, int block_end) {
     const Variable& bound_var = problem_.vars[static_cast<size_t>(bound_depth)];
+    const double* const delta_row = DeltaHatRow(bound_var.config);
+    const VarEdge* const edges = problem_.edges.data();
     double rest = 0.0;
     for (int d = bound_depth + 1; d < block_end; ++d) {
       const Variable& var = problem_.vars[static_cast<size_t>(d)];
       double inflow_fic = 0.0;
       double inflow_delta = 0.0;
-      for (const PredEdge& pe_edge : problem_.preds[static_cast<size_t>(var.pe)]) {
+      for (const VarEdge* e = edges + var.edges_begin; e != edges + var.edges_end; ++e) {
         // A predecessor is a source (Δ̂ fixed), a decided PE (Δ̂ exact), or
         // an undecided PE of this block — whose optimistic value was just
-        // written to scratch (topological order guarantees it).
-        const int pred_var = problem_.VarIndex(var.config, pe_edge.from);
-        const double value = (pred_var >= 0 && assignment_[static_cast<size_t>(pred_var)] < 0)
-                                 ? scratch_[static_cast<size_t>(pe_edge.from)]
-                                 : DeltaHat(var.config, pe_edge.from);
-        inflow_delta += pe_edge.selectivity * value;
+        // written to scratch (topological order guarantees it). Variables
+        // bind in index order, so the undecided ones lie past bound_depth.
+        const double value = e->pred_var > bound_depth
+                                 ? scratch_[static_cast<size_t>(e->from)]
+                                 : delta_row[e->from];
+        inflow_delta += e->selectivity * value;
         inflow_fic += value;
       }
       scratch_[static_cast<size_t>(var.pe)] = inflow_delta;  // φ = 1
@@ -538,6 +590,7 @@ class SearchContext {
   const Problem& problem_;
   SharedState* shared_;
   bool record_first_;
+  bool serial_;
   /// Scratch Δ̃ values for the tight IC bound; indexed by component, only
   /// entries written during the current bound computation are read.
   std::vector<double> scratch_;
@@ -552,7 +605,10 @@ class SearchContext {
   std::vector<size_t> trail_frames_;
   double cost_lb_;
   double fic_partial_ = 0.0;
-  uint64_t stop_check_counter_ = 0;
+  /// Stop checks the next budget charge covers, and how many of them are
+  /// still to come.
+  uint64_t charge_ = 0;
+  uint64_t checks_until_charge_ = 0;
   bool count_stats_ = true;
   /// Local counter values already pushed to the shared progress atomics.
   FtSearchStats flushed_;
@@ -596,22 +652,6 @@ Result<Problem> BuildProblem(const model::ApplicationGraph& graph,
     problem.capacity.push_back(host.capacity_cycles_per_sec);
   }
 
-  problem.preds.resize(graph.num_components());
-  problem.pe_succs.resize(graph.num_components());
-  for (const model::Component& component : graph.components()) {
-    for (size_t edge_index : graph.IncomingEdges(component.id)) {
-      const model::Edge& e = graph.edges()[edge_index];
-      problem.preds[static_cast<size_t>(component.id)].push_back(
-          PredEdge{e.from, e.selectivity});
-    }
-    for (size_t edge_index : graph.OutgoingEdges(component.id)) {
-      const model::Edge& e = graph.edges()[edge_index];
-      if (graph.IsPe(e.to)) {
-        problem.pe_succs[static_cast<size_t>(component.id)].push_back(e.to);
-      }
-    }
-  }
-
   // Variable order: configurations sorted most-CPU-hungry first (§4.5
   // heuristic), PEs in topological order within each configuration (the
   // partial-IC computation requires it).
@@ -632,8 +672,13 @@ Result<Problem> BuildProblem(const model::ApplicationGraph& graph,
   }
 
   const std::vector<model::ComponentId> pes_topo = graph.PesInTopologicalOrder();
-  problem.var_at.assign(static_cast<size_t>(space.num_configs()) * problem.num_components,
-                        -1);
+  // Variable position of each (configuration, component); -1 for sources
+  // and sinks.
+  std::vector<int> var_at(static_cast<size_t>(space.num_configs()) * problem.num_components,
+                          -1);
+  auto var_of = [&](model::ConfigId c, model::ComponentId id) -> int& {
+    return var_at[static_cast<size_t>(c) * problem.num_components + static_cast<size_t>(id)];
+  };
   for (model::ConfigId c : config_order) {
     for (model::ComponentId pe : pes_topo) {
       Variable var;
@@ -645,13 +690,27 @@ Result<Problem> BuildProblem(const model::ApplicationGraph& graph,
       var.arrival_ff = rates.ArrivalRate(graph, pe, c);
       var.host0 = placement.HostOf(pe, 0);
       var.host1 = placement.HostOf(pe, 1);
-      problem.var_at[static_cast<size_t>(c) * problem.num_components +
-                     static_cast<size_t>(pe)] = static_cast<int>(problem.vars.size());
+      var_of(c, pe) = static_cast<int>(problem.vars.size());
       problem.vars.push_back(var);
       problem.base_cost_lb += var.cost_weight;
     }
   }
   problem.num_vars = static_cast<int>(problem.vars.size());
+
+  problem.succ_vars.resize(problem.vars.size());
+  for (size_t d = 0; d < problem.vars.size(); ++d) {
+    Variable& var = problem.vars[d];
+    var.edges_begin = static_cast<uint32_t>(problem.edges.size());
+    for (size_t edge_index : graph.IncomingEdges(var.pe)) {
+      const model::Edge& e = graph.edges()[edge_index];
+      problem.edges.push_back(VarEdge{var_of(var.config, e.from), e.from, e.selectivity});
+    }
+    var.edges_end = static_cast<uint32_t>(problem.edges.size());
+    for (size_t edge_index : graph.OutgoingEdges(var.pe)) {
+      const model::Edge& e = graph.edges()[edge_index];
+      if (graph.IsPe(e.to)) problem.succ_vars[d].push_back(var_of(var.config, e.to));
+    }
+  }
 
   const int pes_per_block = static_cast<int>(pes_topo.size());
   problem.block_end.resize(static_cast<size_t>(problem.num_vars));

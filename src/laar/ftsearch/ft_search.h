@@ -57,8 +57,9 @@ struct FtSearchStats {
 
 /// Point-in-time snapshot of a running search, delivered to the `progress`
 /// callback. Counts are global (summed over all workers) but approximate
-/// while the search runs: workers flush their local counters at the same
-/// amortized stride as the stop checks.
+/// while the search runs: workers flush their local counters when they
+/// charge the shared budget (FtSearchOptions::node_limit), at most every
+/// 512 stop checks.
 struct FtSearchProgress {
   double elapsed_seconds = 0.0;
   uint64_t nodes_explored = 0;
@@ -139,9 +140,12 @@ struct FtSearchOptions {
   std::function<void(const FtSearchProgress&)> progress;
   uint64_t progress_interval_nodes = 1u << 16;
 
-  /// Abort after exploring this many nodes (0 = unlimited). Unlike the
-  /// wall-clock limit, a node budget is deterministic: for a sequential
-  /// search (num_threads = 1) the outcome is a pure function of the inputs,
+  /// Abort after this many stop checks (0 = unlimited). The search checks
+  /// its budget when it enters a node and again after each value it tries,
+  /// about four times per explored node, so a search stopped by this limit
+  /// reports roughly node_limit / 4 `nodes_explored`. Unlike the wall-clock
+  /// limit, this budget is deterministic: for a sequential search
+  /// (num_threads = 1) the outcome is a pure function of the inputs,
   /// independent of machine load. The corpus runner relies on this to keep
   /// its records invariant under --jobs.
   uint64_t node_limit = 0;

@@ -1,6 +1,7 @@
 #include "laar/placement/placement_algorithms.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "laar/common/strings.h"
 
@@ -19,6 +20,36 @@ Status CheckFeasible(const model::Cluster& cluster, int replication_factor) {
                   replication_factor, cluster.num_hosts()));
   }
   return Status::OK();
+}
+
+struct PeDemand {
+  model::ComponentId pe;
+  double demand;
+};
+
+/// Expected demand of one replica of each PE, weighted by P_C, largest
+/// first (ties by PE id): the order the balanced placements fill hosts in.
+/// P_C is computed once per configuration, not once per PE.
+std::vector<PeDemand> ExpectedDemandsLargestFirst(const model::ApplicationGraph& graph,
+                                                  const model::InputSpace& space,
+                                                  const model::ExpectedRates& rates) {
+  std::vector<double> probability(static_cast<size_t>(space.num_configs()));
+  for (size_t c = 0; c < probability.size(); ++c) {
+    probability[c] = space.Probability(static_cast<model::ConfigId>(c));
+  }
+  std::vector<PeDemand> demands;
+  for (model::ComponentId pe : graph.Pes()) {
+    double expected = 0.0;
+    for (size_t c = 0; c < probability.size(); ++c) {
+      expected += probability[c] * rates.CpuDemand(graph, pe, static_cast<model::ConfigId>(c));
+    }
+    demands.push_back(PeDemand{pe, expected});
+  }
+  std::sort(demands.begin(), demands.end(), [](const PeDemand& a, const PeDemand& b) {
+    if (a.demand != b.demand) return a.demand > b.demand;
+    return a.pe < b.pe;
+  });
+  return demands;
 }
 
 }  // namespace
@@ -57,27 +88,9 @@ Result<model::ReplicaPlacement> PlaceBalanced(const model::ApplicationGraph& gra
   }
   LAAR_RETURN_IF_ERROR(CheckFeasible(cluster, replication_factor));
 
-  // Expected demand of one replica of each PE, weighted by P_C.
-  struct PeDemand {
-    model::ComponentId pe;
-    double demand;
-  };
-  std::vector<PeDemand> demands;
-  for (model::ComponentId pe : graph.Pes()) {
-    double expected = 0.0;
-    for (model::ConfigId c = 0; c < space.num_configs(); ++c) {
-      expected += space.Probability(c) * rates.CpuDemand(graph, pe, c);
-    }
-    demands.push_back(PeDemand{pe, expected});
-  }
-  std::sort(demands.begin(), demands.end(), [](const PeDemand& a, const PeDemand& b) {
-    if (a.demand != b.demand) return a.demand > b.demand;
-    return a.pe < b.pe;
-  });
-
   model::ReplicaPlacement placement(graph.num_components(), replication_factor);
   std::vector<double> host_load(cluster.num_hosts(), 0.0);
-  for (const PeDemand& pd : demands) {
+  for (const PeDemand& pd : ExpectedDemandsLargestFirst(graph, space, rates)) {
     std::vector<bool> used(cluster.num_hosts(), false);
     for (int r = 0; r < replication_factor; ++r) {
       model::HostId best = model::kInvalidHost;
@@ -110,27 +123,10 @@ Result<model::ReplicaPlacement> PlaceDomainSpread(const model::ApplicationGraph&
   const model::FailureTopology& topology = cluster.topology();
   LAAR_RETURN_IF_ERROR(topology.Validate(cluster.num_hosts()));
 
-  struct PeDemand {
-    model::ComponentId pe;
-    double demand;
-  };
-  std::vector<PeDemand> demands;
-  for (model::ComponentId pe : graph.Pes()) {
-    double expected = 0.0;
-    for (model::ConfigId c = 0; c < space.num_configs(); ++c) {
-      expected += space.Probability(c) * rates.CpuDemand(graph, pe, c);
-    }
-    demands.push_back(PeDemand{pe, expected});
-  }
-  std::sort(demands.begin(), demands.end(), [](const PeDemand& a, const PeDemand& b) {
-    if (a.demand != b.demand) return a.demand > b.demand;
-    return a.pe < b.pe;
-  });
-
   model::ReplicaPlacement placement(graph.num_components(), replication_factor);
   std::vector<double> host_load(cluster.num_hosts(), 0.0);
   const size_t num_domains = static_cast<size_t>(topology.NumDomains(level));
-  for (const PeDemand& pd : demands) {
+  for (const PeDemand& pd : ExpectedDemandsLargestFirst(graph, space, rates)) {
     std::vector<bool> used_host(cluster.num_hosts(), false);
     std::vector<bool> used_domain(num_domains, false);
     for (int r = 0; r < replication_factor; ++r) {

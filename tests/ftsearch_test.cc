@@ -1,3 +1,8 @@
+#include <cstdio>
+#include <cstdlib>
+#include <iterator>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "laar/appgen/app_generator.h"
@@ -261,6 +266,135 @@ TEST(FtSearchTest, TightAndLooseIcBoundsAgreeOnRandomApps) {
     }
     // The tight bound never explores more nodes than the loose one.
     EXPECT_LE(a->stats.nodes_explored, b->stats.nodes_explored) << "seed=" << seed;
+  }
+}
+
+// --------------------------------------------------------------------------
+// Trajectory golden: the explored tree itself, not just the optimum. Each
+// search contributes its outcome, incumbent bits, node and solution counts
+// and every rule's prune count and height, under node budgets around the
+// 512-check stride, so any change to which nodes are visited, in what order,
+// or where a budget stops the search changes a hash. Rerun with
+// LAAR_PRINT_HASHES=1 to print the observed hashes.
+// --------------------------------------------------------------------------
+
+uint64_t Fnv1a(const std::string& text) {
+  uint64_t h = 1469598103934665603ULL;
+  for (unsigned char c : text) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+struct TrajectoryApp {
+  int num_pes;
+  int num_hosts;
+  int num_sources;
+  uint64_t seed;
+};
+
+// 6 to 24 PEs; the two-source app has four input configurations, the
+// others two.
+const TrajectoryApp kTrajectoryApps[] = {
+    {6, 3, 1, 15}, {12, 6, 1, 6}, {16, 8, 2, 4}, {24, 12, 1, 10001}};
+
+/// One leg of the golden: the options it changes from the defaults, and
+/// one hash per app.
+struct TrajectoryGolden {
+  const char* leg;
+  bool tight_ic_bound;
+  bool try_both_first;
+  uint64_t hashes[std::size(kTrajectoryApps)];
+};
+
+// Captured before the search's budget checks, edge lists and COMPL
+// remainder were restructured; those changes must reproduce them.
+const TrajectoryGolden kTrajectoryGoldens[] = {
+    {"default", true, true,
+     {0x430eaa08968ac389ULL, 0x69d1ed1ea3bfba04ULL, 0xe889c330ecfa4c80ULL,
+      0x25e94cdcb9cae56bULL}},
+    {"loose_ic_bound", false, true,
+     {0x270b84f80c123927ULL, 0x7f641d8cad2a6440ULL, 0x9a9dc1059dc29802ULL,
+      0x91391a5e02ab6f77ULL}},
+    {"single_first", true, false,
+     {0xc97e0750da631a40ULL, 0xdaab95d13b8ccd41ULL, 0x7ed1eabd0b4b01dbULL,
+      0xe5201cbfc570602eULL}},
+};
+
+/// Hashes every search of one app at IC 0.5 / 0.7 / 0.9 and node limits
+/// 1, 512, 513 and 20000, with `base`'s other options.
+uint64_t TrajectoryHash(const TrajectoryApp& spec, const FtSearchOptions& base) {
+  appgen::GeneratorOptions generator;
+  generator.num_pes = spec.num_pes;
+  generator.num_hosts = spec.num_hosts;
+  generator.num_sources = spec.num_sources;
+  Result<appgen::GeneratedApplication> app = appgen::GenerateApplication(generator, spec.seed);
+  EXPECT_TRUE(app.ok()) << app.status().ToString();
+  if (!app.ok()) return 0;
+  auto rates = ExpectedRates::Compute(app->descriptor.graph, app->descriptor.input_space);
+  EXPECT_TRUE(rates.ok());
+  if (!rates.ok()) return 0;
+  std::string digest;
+  for (double ic : {0.5, 0.7, 0.9}) {
+    for (uint64_t node_limit : {1u, 512u, 513u, 20000u}) {
+      FtSearchOptions options = base;
+      options.ic_requirement = ic;
+      options.time_limit_seconds = 0.0;
+      options.node_limit = node_limit;
+      Result<FtSearchResult> result =
+          RunFtSearch(app->descriptor.graph, app->descriptor.input_space, *rates,
+                      app->placement, app->cluster, options);
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+      if (!result.ok()) return 0;
+      const FtSearchStats& s = result->stats;
+      char line[512];
+      std::snprintf(line, sizeof line,
+                    "%s %.17g %.17g %llu %llu cpu %llu %llu compl %llu %llu cost %llu %llu "
+                    "dom %llu %llu\n",
+                    SearchOutcomeName(result->outcome), result->best_cost, result->best_ic,
+                    static_cast<unsigned long long>(s.nodes_explored),
+                    static_cast<unsigned long long>(s.solutions_found),
+                    static_cast<unsigned long long>(s.cpu.count),
+                    static_cast<unsigned long long>(s.cpu.total_height),
+                    static_cast<unsigned long long>(s.compl_.count),
+                    static_cast<unsigned long long>(s.compl_.total_height),
+                    static_cast<unsigned long long>(s.cost.count),
+                    static_cast<unsigned long long>(s.cost.total_height),
+                    static_cast<unsigned long long>(s.dom.count),
+                    static_cast<unsigned long long>(s.dom.total_height));
+      digest += line;
+    }
+  }
+  return Fnv1a(digest);
+}
+
+TEST(FtSearchTest, SerialTrajectoriesMatchGoldens) {
+  const bool print = std::getenv("LAAR_PRINT_HASHES") != nullptr;
+  for (const TrajectoryGolden& golden : kTrajectoryGoldens) {
+    FtSearchOptions options;
+    options.tight_ic_bound = golden.tight_ic_bound;
+    options.try_both_first = golden.try_both_first;
+    uint64_t got[std::size(kTrajectoryApps)];
+    for (size_t a = 0; a < std::size(kTrajectoryApps); ++a) {
+      got[a] = TrajectoryHash(kTrajectoryApps[a], options);
+    }
+    if (print) {
+      std::printf("    {\"%s\", %s, %s,\n     {0x%016llxULL, 0x%016llxULL, 0x%016llxULL,\n"
+                  "      0x%016llxULL}},\n",
+                  golden.leg, golden.tight_ic_bound ? "true" : "false",
+                  golden.try_both_first ? "true" : "false",
+                  static_cast<unsigned long long>(got[0]),
+                  static_cast<unsigned long long>(got[1]),
+                  static_cast<unsigned long long>(got[2]),
+                  static_cast<unsigned long long>(got[3]));
+      continue;
+    }
+    for (size_t a = 0; a < std::size(kTrajectoryApps); ++a) {
+      EXPECT_EQ(got[a], golden.hashes[a])
+          << golden.leg << " leg, " << kTrajectoryApps[a].num_pes << " PEs, seed "
+          << kTrajectoryApps[a].seed;
+    }
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "laar/appgen/app_generator.h"
 #include "laar/common/logging.h"
 #include "laar/common/stats.h"
 #include "laar/dsps/sim_metrics.h"
@@ -673,6 +674,42 @@ TEST(FtSearchProgressTest, CallbackObservesWithoutChangingTheResult) {
   const obs::Counter* nodes = registry.FindCounter("ftsearch_nodes_explored");
   ASSERT_NE(nodes, nullptr);
   EXPECT_DOUBLE_EQ(nodes->value(), static_cast<double>(traced->stats.nodes_explored));
+}
+
+// Snapshots count explored nodes, the unit of the final snapshot, not the
+// stop checks a node budget is charged in (about four per node). A search
+// that ends inside its budget makes the difference visible: counted in
+// stop checks, the live snapshots ran past the final node count.
+TEST(FtSearchProgressTest, SnapshotsCountExploredNodes) {
+  appgen::GeneratorOptions generator;
+  generator.num_hosts = 3;
+  generator.num_pes = 6;
+  auto app = appgen::GenerateApplication(generator, 15);
+  ASSERT_TRUE(app.ok()) << app.status().ToString();
+  auto rates = model::ExpectedRates::Compute(app->descriptor.graph,
+                                             app->descriptor.input_space);
+  ASSERT_TRUE(rates.ok());
+
+  std::vector<uint64_t> nodes;
+  ftsearch::FtSearchOptions options;
+  options.ic_requirement = 0.6;
+  options.time_limit_seconds = 0.0;
+  options.node_limit = 20000;
+  options.progress_interval_nodes = 250;
+  options.progress = [&](const ftsearch::FtSearchProgress& progress) {
+    nodes.push_back(progress.nodes_explored);
+  };
+  auto result = ftsearch::RunFtSearch(app->descriptor.graph, app->descriptor.input_space,
+                                      *rates, app->placement, app->cluster, options);
+  ASSERT_TRUE(result.ok());
+  // The search proves its answer well inside the budget.
+  ASSERT_TRUE(result->outcome == ftsearch::SearchOutcome::kOptimal ||
+              result->outcome == ftsearch::SearchOutcome::kInfeasible);
+  ASSERT_GE(nodes.size(), 3u);
+  EXPECT_EQ(nodes.back(), result->stats.nodes_explored);
+  for (size_t i = 1; i < nodes.size(); ++i) {
+    EXPECT_LE(nodes[i - 1], nodes[i]) << "snapshot " << i;
+  }
 }
 
 // ---------------------------------------------------------------- logging

@@ -5,7 +5,8 @@
 // Usage:
 //   laar_solve --app=app.json --out=strategy.json --ic=0.7
 //              [--hosts=12] [--capacity=1e9] [--time-limit=600]
-//              [--threads=1] [--placement=balanced|roundrobin|domain]
+//              [--node-limit=N] [--threads=1]
+//              [--placement=balanced|roundrobin|domain]
 //              [--hosts-per-rack=N] [--racks-per-zone=N]
 //              [--progress[=NODES]]
 //
@@ -14,6 +15,12 @@
 // --placement=domain spreads each PE's replicas across distinct racks —
 // solve with the identical flags you will simulate with, or the strategy
 // is computed for a different deployment than the one it runs on.
+//
+// --node-limit caps the search at N stop checks (default 0: no cap). The
+// search checks its budget when it enters a node and after each value it
+// tries, about four times per explored node; this is the same budget as the
+// corpus benches' --node-limit. With --time-limit=0 and --threads=1 the
+// result is a pure function of the inputs, whatever the machine's load.
 //
 // --progress streams live search snapshots (nodes explored, incumbent cost,
 // per-rule prune counts) to stderr, roughly every NODES explored nodes
@@ -37,7 +44,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: laar_solve --app=app.json --out=strategy.json --ic=0.7\n"
                  "       [--hosts=N] [--capacity=CYCLES_PER_SEC] [--time-limit=SECONDS]\n"
-                 "       [--threads=N] [--placement=balanced|roundrobin|domain]\n"
+                 "       [--node-limit=STOP_CHECKS] [--threads=N]\n"
+                 "       [--placement=balanced|roundrobin|domain]\n"
                  "       [--hosts-per-rack=N] [--racks-per-zone=N]\n"
                  "       [--progress[=NODES]]\n");
     return 2;
@@ -83,6 +91,7 @@ int main(int argc, char** argv) {
   laar::ftsearch::FtSearchOptions options;
   options.ic_requirement = flags.GetDouble("ic", 0.7);
   options.time_limit_seconds = flags.GetDouble("time-limit", 600.0);
+  options.node_limit = flags.GetUint64("node-limit", 0);
   options.num_threads = flags.GetInt("threads", 1);
   if (flags.Has("progress")) {
     const uint64_t interval = flags.GetUint64("progress", 1);

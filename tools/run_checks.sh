@@ -9,7 +9,9 @@
 # 4. verifies every CLI flag a tool reads is documented in its help text,
 # 5. smoke-tests the CLI pipeline end to end (generate -> solve ->
 #    simulate with a correlated rack outage and an explicit overlapping
-#    crash schedule), then the forensics loop on the outage run:
+#    crash schedule), requires a node-budgeted solve to write the same
+#    strategy with and without the live progress stream, then the
+#    forensics loop on the outage run:
 #    validate + explain the trace, diff the two placements, and require
 #    the artifacts to be byte-identical across --jobs and across
 #    --shards=1/4 at a fixed --link-latency (the sharded-engine contract),
@@ -52,6 +54,18 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 "./$BUILD_DIR/tools/laar_generate" --seed=7 --out="$SMOKE_DIR/app.json" >/dev/null
 "./$BUILD_DIR/tools/laar_solve" --app="$SMOKE_DIR/app.json" --ic=0.6 \
     --out="$SMOKE_DIR/strategy.json" >/dev/null
+# Under a node budget and no deadline the solve is a pure function of its
+# inputs (5M stop checks end it with a feasible strategy); the progress
+# stream only observes it.
+budget_solve() {
+    "./$BUILD_DIR/tools/laar_solve" --app="$SMOKE_DIR/app.json" --ic=0.6 \
+        --time-limit=0 --node-limit=5000000 "$@" >/dev/null
+}
+budget_solve --out="$SMOKE_DIR/budget.strategy.json"
+budget_solve --out="$SMOKE_DIR/budget.progress.strategy.json" --progress=1000 \
+    2>"$SMOKE_DIR/progress.log"
+grep -q '^progress: ' "$SMOKE_DIR/progress.log"
+cmp "$SMOKE_DIR/budget.strategy.json" "$SMOKE_DIR/budget.progress.strategy.json"
 "./$BUILD_DIR/tools/laar_simulate" --app="$SMOKE_DIR/app.json" \
     --strategy="$SMOKE_DIR/strategy.json" --hosts-per-rack=3 \
     --placement=domain --fail-domain=rack:1 >/dev/null
