@@ -51,7 +51,6 @@ int main(int argc, char** argv) {
                            "ride through failures at higher cost");
 
   auto options = laar::bench::HarnessFromFlags(flags);
-  if (jobs != 1) options.variants.ftsearch_threads = 1;
   std::map<std::string, laar::SampleStats> cost_vs_nr;
   std::map<std::string, laar::SampleStats> crash_ic;
 

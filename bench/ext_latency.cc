@@ -42,7 +42,6 @@ int main(int argc, char** argv) {
                            "dynamic variants stay near service time");
 
   auto options = laar::bench::HarnessFromFlags(flags);
-  if (jobs != 1) options.variants.ftsearch_threads = 1;
   std::map<std::string, laar::SampleStats> p50;
   std::map<std::string, laar::SampleStats> p99;
   std::map<std::string, laar::SampleStats> max_latency;

@@ -44,7 +44,6 @@ int main(int argc, char** argv) {
       "latency and near-zero loss");
 
   auto options = laar::bench::HarnessFromFlags(flags);
-  if (jobs != 1) options.variants.ftsearch_threads = 1;
 
   struct Row {
     laar::SampleStats loss_fraction;

@@ -1,6 +1,8 @@
 #include "laar/exec/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 
 namespace laar {
 
@@ -24,19 +26,6 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) worker.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(task));
-  }
-  work_available_.notify_one();
-}
-
-void ThreadPool::WaitIdle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
 void ThreadPool::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
@@ -44,12 +33,9 @@ void ThreadPool::WorkerLoop() {
     if (shutdown_ && queue_.empty()) return;
     std::function<void()> task = std::move(queue_.front());
     queue_.pop_front();
-    ++active_;
     lock.unlock();
     task();
     lock.lock();
-    --active_;
-    if (queue_.empty() && active_ == 0) idle_.notify_all();
   }
 }
 
@@ -59,57 +45,34 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     fn(0);
     return;
   }
-  // Workers claim indices from a shared counter; the caller claims too, so
-  // the loop completes even if no worker ever becomes free.
-  auto next = std::make_shared<std::atomic<size_t>>(0);
-  TaskGroup group(this);
+  // Every thread claims indices from one counter, the caller too, so the
+  // loop completes even if no helper ever starts. The state is shared with
+  // the helpers: one that starts after the loop returned finds every index
+  // claimed and touches nothing else.
+  struct Loop {
+    std::atomic<size_t> next{0};
+    std::mutex mu;
+    std::condition_variable finished;
+    size_t done = 0;  // calls that have returned
+  };
+  auto loop = std::make_shared<Loop>();
+  auto drain = [loop, n, &fn] {
+    size_t ran = 0;
+    for (size_t i; (i = loop->next.fetch_add(1)) < n; ++ran) fn(i);
+    if (ran == 0) return;
+    std::lock_guard<std::mutex> lock(loop->mu);
+    loop->done += ran;
+    if (loop->done == n) loop->finished.notify_all();
+  };
   const size_t helpers = std::min(n - 1, num_threads());
-  for (size_t t = 0; t < helpers; ++t) {
-    group.Submit([next, n, &fn] {
-      for (size_t i; (i = next->fetch_add(1)) < n;) fn(i);
-    });
-  }
-  for (size_t i; (i = next->fetch_add(1)) < n;) fn(i);
-  group.Wait();
-}
-
-ThreadPool::TaskGroup::TaskGroup(ThreadPool* pool)
-    : pool_(pool), state_(std::make_shared<State>()) {}
-
-ThreadPool::TaskGroup::~TaskGroup() { Wait(); }
-
-void ThreadPool::TaskGroup::Submit(std::function<void()> task) {
   {
-    std::lock_guard<std::mutex> lock(state_->mu);
-    state_->queue.push_back(std::move(task));
-    ++state_->pending;
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (size_t t = 0; t < helpers; ++t) queue_.emplace_back(drain);
   }
-  // The pool drainer holds the state alive, so a drainer scheduled after
-  // the group is destroyed (its queue already empty) is a harmless no-op.
-  pool_->Submit([state = state_] { RunOne(state); });
-}
-
-void ThreadPool::TaskGroup::Wait() {
-  while (RunOne(state_)) {
-  }
-  std::unique_lock<std::mutex> lock(state_->mu);
-  state_->done.wait(lock, [this] { return state_->pending == 0; });
-}
-
-bool ThreadPool::TaskGroup::RunOne(const std::shared_ptr<State>& state) {
-  std::function<void()> task;
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    if (state->queue.empty()) return false;
-    task = std::move(state->queue.front());
-    state->queue.pop_front();
-  }
-  task();
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    if (--state->pending == 0) state->done.notify_all();
-  }
-  return true;
+  for (size_t t = 0; t < helpers; ++t) work_available_.notify_one();
+  drain();
+  std::unique_lock<std::mutex> lock(loop->mu);
+  loop->finished.wait(lock, [&loop, n] { return loop->done == n; });
 }
 
 }  // namespace laar

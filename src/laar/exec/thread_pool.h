@@ -1,28 +1,22 @@
 #ifndef LAAR_EXEC_THREAD_POOL_H_
 #define LAAR_EXEC_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace laar {
 
-/// A fixed-size task pool with a fork/join-style `WaitIdle` barrier.
+/// A fixed set of worker threads that run `ParallelFor` loops.
 ///
-/// LAAR uses it to parallelize FT-Search root splitting — the stand-in for
-/// the paper's JSR-166 Fork/Join implementation (§4.5) — and to fan out the
-/// §5.3 experiment corpus (`runtime::RunCorpus`). Tasks may themselves
-/// submit more tasks; `WaitIdle` returns only when the queue is empty and no
-/// task is running.
-///
-/// Nesting levels that want to share one pool without oversubscription use
-/// `TaskGroup` (a waitable subset of tasks) or `ParallelFor` (a blocking
-/// data-parallel loop in which the calling thread participates).
+/// LAAR uses it to fan out the §5.3 experiment corpus (`runtime::RunCorpus`:
+/// seed probes, then one simulation per (app, variant, scenario)) and the
+/// search-study benches, each task a serial FT-Search or simulation. This
+/// corpus-level parallelism stands in for the paper's Fork/Join split of a
+/// single search (§4.5).
 class ThreadPool {
  public:
   /// Starts `num_threads` workers (at least 1; 0 means hardware concurrency).
@@ -32,53 +26,14 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task. Must not be called after destruction begins.
-  void Submit(std::function<void()> task);
-
-  /// Blocks until all submitted tasks (including transitively submitted
-  /// ones) have completed.
-  void WaitIdle();
-
-  /// Runs `fn(0) .. fn(n - 1)` across the pool and returns when all calls
-  /// have finished. The calling thread participates in the work, so the
-  /// call makes progress even when every worker is busy — it is safe to
-  /// invoke from inside a pool task (nested parallelism shares the same
-  /// workers instead of oversubscribing).
+  /// Runs `fn(0) .. fn(n - 1)` on the calling thread plus up to
+  /// min(n - 1, num_threads()) workers, and returns once all n calls have
+  /// finished. It does not wait for the workers to join in: the caller
+  /// works through the indices itself, so the call completes even when
+  /// every worker is busy, and it is safe to invoke from inside another
+  /// `ParallelFor` (nested loops share the workers instead of
+  /// oversubscribing).
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
-
-  /// A waitable subset of a pool's tasks. Group tasks are queued privately
-  /// and drained by pool workers; `Wait` has the calling thread drain the
-  /// not-yet-started remainder itself, so it cannot deadlock even when the
-  /// pool is saturated with other work.
-  class TaskGroup {
-   public:
-    explicit TaskGroup(ThreadPool* pool);
-    /// Waits for all group tasks (like `Wait`).
-    ~TaskGroup();
-
-    TaskGroup(const TaskGroup&) = delete;
-    TaskGroup& operator=(const TaskGroup&) = delete;
-
-    void Submit(std::function<void()> task);
-
-    /// Blocks until every task submitted to this group has completed,
-    /// running still-queued group tasks on the calling thread.
-    void Wait();
-
-   private:
-    struct State {
-      std::mutex mu;
-      std::condition_variable done;
-      std::deque<std::function<void()>> queue;
-      size_t pending = 0;  // queued + running group tasks
-    };
-
-    /// Runs one queued group task, if any; returns whether it did.
-    static bool RunOne(const std::shared_ptr<State>& state);
-
-    ThreadPool* pool_;
-    std::shared_ptr<State> state_;
-  };
 
   size_t num_threads() const { return workers_.size(); }
 
@@ -87,10 +42,8 @@ class ThreadPool {
 
   std::mutex mutex_;
   std::condition_variable work_available_;
-  std::condition_variable idle_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
-  size_t active_ = 0;
   bool shutdown_ = false;
 };
 

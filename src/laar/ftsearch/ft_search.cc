@@ -2,17 +2,14 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <limits>
-#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "laar/common/stopwatch.h"
 #include "laar/common/strings.h"
-#include "laar/exec/thread_pool.h"
 
 namespace laar::ftsearch {
 
@@ -29,8 +26,8 @@ constexpr uint8_t kMaskAll = 7;
 
 constexpr double kEpsilon = 1e-9;
 
-/// Stop checks between two charges to the shared budget, unless a node
-/// limit needs a charge sooner (SearchContext::NextCharge).
+/// Stop checks between two budget charges, unless the node limit comes
+/// sooner (SearchContext::NextCharge).
 constexpr uint64_t kStopCheckStride = 512;
 
 /// One incoming edge of a variable's PE, pre-resolved for the inner loops.
@@ -86,9 +83,9 @@ struct Problem {
   int num_vars = 0;
 };
 
-/// State shared between parallel workers.
+/// State the greedy seeder and the search share: the incumbent, the clock
+/// and the budget.
 struct SharedState {
-  std::mutex mu;
   bool found_any = false;
   double best_cost = std::numeric_limits<double>::infinity();
   double best_fic = 0.0;
@@ -98,64 +95,48 @@ struct SharedState {
   double first_cost = 0.0;
   double first_seconds = 0.0;
 
-  /// Lock-free mirror of best_cost for the COST pruning hot path.
-  std::atomic<double> best_cost_relaxed{std::numeric_limits<double>::infinity()};
-
-  std::atomic<bool> stop{false};
-  std::atomic<bool> timed_out{false};
+  /// Set when the deadline or the node limit stops the search.
+  bool timed_out = false;
   /// Stop checks charged so far: the unit of `node_limit`.
-  std::atomic<uint64_t> nodes_total{0};
-
-  /// Global mirrors of the per-worker statistics, fed by amortized flushes;
-  /// progress reporting only (the exact totals come from MergeFrom).
-  std::atomic<uint64_t> nodes_explored{0};
-  std::atomic<uint64_t> solutions_total{0};
-  std::atomic<uint64_t> cpu_prunes{0};
-  std::atomic<uint64_t> compl_prunes{0};
-  std::atomic<uint64_t> cost_prunes{0};
-  std::atomic<uint64_t> dom_prunes{0};
-  /// Explored-node count at which the next progress callback fires; a CAS
-  /// elects the single worker that reports each threshold.
-  std::atomic<uint64_t> next_progress{0};
+  uint64_t checks_charged = 0;
+  /// Explored-node count at which the next progress callback fires.
+  uint64_t next_progress = 0;
 
   Stopwatch watch;
   Deadline deadline;
-  uint64_t node_limit = 0;
 };
 
-/// Builds a progress snapshot from the shared counters (incumbent under the
-/// lock, everything else relaxed).
-FtSearchProgress SnapshotProgress(const Problem& problem, SharedState* shared,
-                                  uint64_t nodes) {
+/// A progress snapshot of `stats` and the current incumbent.
+FtSearchProgress SnapshotProgress(const Problem& problem, const SharedState& shared,
+                                  const FtSearchStats& stats) {
   FtSearchProgress progress;
-  progress.elapsed_seconds = shared->watch.ElapsedSeconds();
-  progress.nodes_explored = nodes;
-  progress.solutions_found = shared->solutions_total.load(std::memory_order_relaxed);
-  progress.cpu_prunes = shared->cpu_prunes.load(std::memory_order_relaxed);
-  progress.compl_prunes = shared->compl_prunes.load(std::memory_order_relaxed);
-  progress.cost_prunes = shared->cost_prunes.load(std::memory_order_relaxed);
-  progress.dom_prunes = shared->dom_prunes.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(shared->mu);
-    if (shared->found_any) {
-      progress.has_incumbent = true;
-      progress.incumbent_cost = shared->best_cost;
-      progress.incumbent_ic =
-          problem.bic_per_sec <= 0.0 ? 1.0 : shared->best_fic / problem.bic_per_sec;
-    }
+  progress.elapsed_seconds = shared.watch.ElapsedSeconds();
+  progress.nodes_explored = stats.nodes_explored;
+  progress.solutions_found = stats.solutions_found;
+  progress.cpu_prunes = stats.cpu.count;
+  progress.compl_prunes = stats.compl_.count;
+  progress.cost_prunes = stats.cost.count;
+  progress.dom_prunes = stats.dom.count;
+  if (shared.found_any) {
+    progress.has_incumbent = true;
+    progress.incumbent_cost = shared.best_cost;
+    progress.incumbent_ic =
+        problem.bic_per_sec <= 0.0 ? 1.0 : shared.best_fic / problem.bic_per_sec;
   }
   return progress;
 }
 
-/// Per-worker search state: current partial assignment plus every
-/// incrementally maintained quantity the pruning rules need.
+/// Search state: current partial assignment plus every incrementally
+/// maintained quantity the pruning rules need.
 class SearchContext {
  public:
-  SearchContext(const Problem& problem, SharedState* shared, bool record_first = true)
+  /// A `seeder` context installs the greedy seed, which is not part of the
+  /// search proper: it records no "first solution" (Fig. 5 semantics) and
+  /// counts no prunes.
+  SearchContext(const Problem& problem, SharedState* shared, bool seeder = false)
       : problem_(problem),
         shared_(shared),
-        record_first_(record_first),
-        serial_(problem.options.num_threads <= 1),
+        seeder_(seeder),
         scratch_(problem.num_components, 0.0),
         assignment_(static_cast<size_t>(problem.num_vars), -1),
         mask_(static_cast<size_t>(problem.num_vars), kMaskAll),
@@ -197,21 +178,13 @@ class SearchContext {
   }
 
   /// Binds the first `prefix.size()` variables without recursing; returns
-  /// false if some binding is pruned. Used to fast-forward parallel tasks.
-  bool BindPrefix(const std::vector<int>& prefix, bool count_stats) {
-    count_stats_ = count_stats;
+  /// false if some binding is pruned. Used to install the greedy seed.
+  bool BindPrefix(const std::vector<int>& prefix) {
     for (size_t d = 0; d < prefix.size(); ++d) {
-      if ((mask_[d] & kMaskOf[prefix[d]]) == 0) {
-        count_stats_ = true;
-        return false;
-      }
+      if ((mask_[d] & kMaskOf[prefix[d]]) == 0) return false;
       std::optional<double> single_rest;  // each binding is a node of its own
-      if (!Bind(static_cast<int>(d), prefix[d], &single_rest)) {
-        count_stats_ = true;
-        return false;
-      }
+      if (!Bind(static_cast<int>(d), prefix[d], &single_rest)) return false;
     }
-    count_stats_ = true;
     return true;
   }
 
@@ -229,30 +202,6 @@ class SearchContext {
       if ((mask_[static_cast<size_t>(depth)] & kMaskOf[value]) == 0) continue;
       if (Bind(depth, value, &single_rest)) {
         Dfs(depth + 1);
-        Unbind(depth, value);
-      }
-      if (ShouldStop()) return;
-    }
-  }
-
-  /// Enumerates the feasible prefixes of length `split_depth` (binding and
-  /// unbinding through this context so pruning statistics are counted
-  /// exactly once) and appends them to `out`.
-  void CollectPrefixes(int depth, int split_depth, std::vector<int>* current,
-                       std::vector<std::vector<int>>* out) {
-    if (ShouldStop()) return;
-    if (depth == split_depth) {
-      out->push_back(*current);
-      return;
-    }
-    ++stats_.nodes_explored;
-    std::optional<double> single_rest;
-    for (int value : ValueOrder()) {
-      if ((mask_[static_cast<size_t>(depth)] & kMaskOf[value]) == 0) continue;
-      if (Bind(depth, value, &single_rest)) {
-        current->push_back(value);
-        CollectPrefixes(depth + 1, split_depth, current, out);
-        current->pop_back();
         Unbind(depth, value);
       }
       if (ShouldStop()) return;
@@ -289,80 +238,48 @@ class SearchContext {
   }
 
   /// The budget check, run when a node is entered and after each value is
-  /// tried. It counts down locally and charges the shared budget only every
+  /// tried. It counts down locally and charges the budget only every
   /// `charge_` calls (ChargeBudget).
   bool ShouldStop() {
-    // Parallel workers see each other's stop on the next call; a serial
-    // search is the only one that sets it.
-    if (!serial_ && shared_->stop.load(std::memory_order_relaxed)) return true;
     if (--checks_until_charge_ != 0) return false;
     return ChargeBudget();
   }
 
-  /// ShouldStop's slow path: charges the last `charge_` calls to the shared
+  /// ShouldStop's slow path: charges the last `charge_` calls to the
   /// budget, tests the deadline and the node limit, and reports progress.
   bool ChargeBudget() {
     checks_until_charge_ = 1;  // once stopped, every later call lands here
-    if (shared_->stop.load(std::memory_order_relaxed)) return true;
-    const uint64_t total =
-        shared_->nodes_total.fetch_add(charge_, std::memory_order_relaxed) + charge_;
-    if (shared_->deadline.Expired() ||
-        (shared_->node_limit != 0 && total >= shared_->node_limit)) {
-      shared_->timed_out.store(true);
-      shared_->stop.store(true);
+    if (shared_->timed_out) return true;
+    shared_->checks_charged += charge_;
+    const uint64_t total = shared_->checks_charged;
+    const uint64_t limit = problem_.options.node_limit;
+    if (shared_->deadline.Expired() || (limit != 0 && total >= limit)) {
+      shared_->timed_out = true;
       return true;
     }
-    if (problem_.options.progress) {
-      FlushSharedCounters();
-      MaybeEmitProgress();
-    }
+    if (problem_.options.progress) MaybeEmitProgress();
     charge_ = NextCharge(total);
     checks_until_charge_ = charge_;
     return false;
   }
 
   /// Calls to count locally before the next charge, `total` checks having
-  /// been charged. A serial search owns its whole budget: it charges every
-  /// kStopCheckStride calls and lands exactly on the node limit. Parallel
-  /// workers share the limit, so with one set each call is charged.
+  /// been charged: every kStopCheckStride calls, landing exactly on the
+  /// node limit.
   uint64_t NextCharge(uint64_t total) const {
-    const uint64_t limit = shared_->node_limit;
+    const uint64_t limit = problem_.options.node_limit;
     if (limit == 0) return kStopCheckStride;
-    if (!serial_) return 1;
     return std::min(kStopCheckStride, limit - total);
   }
 
-  /// Pushes the local counter deltas since the last flush into the shared
-  /// atomics (amortized by the budget charges; progress reporting only).
-  void FlushSharedCounters() {
-    auto push = [](std::atomic<uint64_t>* target, uint64_t current, uint64_t* last) {
-      if (current != *last) {
-        target->fetch_add(current - *last, std::memory_order_relaxed);
-        *last = current;
-      }
-    };
-    push(&shared_->nodes_explored, stats_.nodes_explored, &flushed_.nodes_explored);
-    push(&shared_->solutions_total, stats_.solutions_found, &flushed_.solutions_found);
-    push(&shared_->cpu_prunes, stats_.cpu.count, &flushed_.cpu.count);
-    push(&shared_->compl_prunes, stats_.compl_.count, &flushed_.compl_.count);
-    push(&shared_->cost_prunes, stats_.cost.count, &flushed_.cost.count);
-    push(&shared_->dom_prunes, stats_.dom.count, &flushed_.dom.count);
-  }
-
-  /// Fires the progress callback if the global explored-node count crossed
-  /// the next threshold; the CAS guarantees one invocation per threshold.
+  /// Fires the progress callback if the explored-node count crossed the
+  /// next threshold.
   void MaybeEmitProgress() {
-    const uint64_t interval =
+    if (stats_.nodes_explored < shared_->next_progress) return;
+    shared_->next_progress =
+        stats_.nodes_explored +
         std::max<uint64_t>(1, problem_.options.progress_interval_nodes);
-    const uint64_t nodes = shared_->nodes_explored.load(std::memory_order_relaxed);
-    uint64_t expected = shared_->next_progress.load(std::memory_order_relaxed);
-    while (nodes >= expected) {
-      if (shared_->next_progress.compare_exchange_weak(expected, nodes + interval,
-                                                       std::memory_order_relaxed)) {
-        problem_.options.progress(SnapshotProgress(problem_, shared_, nodes));
-        break;
-      }
-    }
+    problem_.options.progress(SnapshotProgress(problem_, *shared_, stats_));
   }
 
   /// Attempts to bind variable `depth` to `value`, applying the CPU, COST,
@@ -414,8 +331,7 @@ class SearchContext {
 
     // --- Pruning on cost lower bound. ---
     if (options.enable_cost_pruning) {
-      const double best = shared_->best_cost_relaxed.load(std::memory_order_relaxed);
-      if (cost_lb_ >= best - kEpsilon) {
+      if (cost_lb_ >= shared_->best_cost - kEpsilon) {
         NotePrune(&stats_.cost, depth);
         Unbind(depth, value);
         return false;
@@ -510,7 +426,7 @@ class SearchContext {
           trail_.push_back(TrailEntry{TrailEntry::kMaskChange,
                                       static_cast<uint32_t>(succ_var), succ_mask});
           succ_mask = static_cast<uint8_t>(succ_mask & ~kMaskOf[kBoth]);
-          if (count_stats_) {
+          if (!seeder_) {
             ++stats_.dom.count;
             stats_.dom.total_height +=
                 static_cast<uint64_t>(problem_.num_vars - succ_var);
@@ -550,7 +466,7 @@ class SearchContext {
   }
 
   void NotePrune(PruningStats* pruning, int depth) {
-    if (!count_stats_) return;
+    if (seeder_) return;
     ++pruning->count;
     pruning->total_height += static_cast<uint64_t>(problem_.num_vars - depth);
   }
@@ -571,8 +487,7 @@ class SearchContext {
     ++stats_.solutions_found;
     const double cost = cost_lb_;  // exact: every variable is bound
     const double elapsed = shared_->watch.ElapsedSeconds();
-    std::lock_guard<std::mutex> lock(shared_->mu);
-    if (record_first_ && !shared_->first_recorded) {
+    if (!seeder_ && !shared_->first_recorded) {
       shared_->first_recorded = true;
       shared_->first_cost = cost;
       shared_->first_seconds = elapsed;
@@ -583,14 +498,12 @@ class SearchContext {
       shared_->best_fic = fic_partial_;
       shared_->best_assignment.assign(assignment_.begin(), assignment_.end());
       shared_->best_seconds = elapsed;
-      shared_->best_cost_relaxed.store(cost, std::memory_order_relaxed);
     }
   }
 
   const Problem& problem_;
   SharedState* shared_;
-  bool record_first_;
-  bool serial_;
+  bool seeder_;
   /// Scratch Δ̃ values for the tight IC bound; indexed by component, only
   /// entries written during the current bound computation are read.
   std::vector<double> scratch_;
@@ -609,9 +522,6 @@ class SearchContext {
   /// still to come.
   uint64_t charge_ = 0;
   uint64_t checks_until_charge_ = 0;
-  bool count_stats_ = true;
-  /// Local counter values already pushed to the shared progress atomics.
-  FtSearchStats flushed_;
 };
 
 Result<Problem> BuildProblem(const model::ApplicationGraph& graph,
@@ -871,81 +781,27 @@ Result<FtSearchResult> RunFtSearch(const model::ApplicationGraph& graph,
                         BuildProblem(graph, space, rates, placement, cluster, options));
 
   SharedState shared;
-  shared.node_limit = options.node_limit;
   shared.deadline = options.time_limit_seconds > 0.0
                         ? Deadline::After(options.time_limit_seconds)
                         : Deadline::Infinite();
-  shared.next_progress.store(std::max<uint64_t>(1, options.progress_interval_nodes));
-
-  FtSearchStats merged_stats;
-  if (options.seed_greedy && problem.num_vars > 0) {
-    // The seed binds through a throwaway context so every constraint is
-    // verified; a successful full bind records it as the incumbent (but
-    // not as the "first solution" — Fig. 5 measures the search proper).
-    SearchContext seeder(problem, &shared, /*record_first=*/false);
-    const std::vector<int> seed = GreedySeedAssignment(problem);
-    if (seeder.BindPrefix(seed, /*count_stats=*/false)) {
-      seeder.RecordIfComplete();
-    }
-    merged_stats.MergeFrom(seeder.stats());
-  }
-  if (options.num_threads <= 1 || problem.num_vars == 0) {
-    SearchContext context(problem, &shared);
-    context.Dfs(0);
-    merged_stats.MergeFrom(context.stats());
-  } else {
-    const int split_depth = std::clamp(options.split_depth, 1, problem.num_vars);
-    SearchContext root(problem, &shared);
-    std::vector<std::vector<int>> prefixes;
-    std::vector<int> current;
-    root.CollectPrefixes(0, split_depth, &current, &prefixes);
-    merged_stats.MergeFrom(root.stats());
-
-    // Run on the caller's shared pool when provided (waiting only on our
-    // own task group), otherwise on a private pool.
-    std::optional<ThreadPool> owned_pool;
-    ThreadPool* pool = options.pool;
-    if (pool == nullptr) {
-      owned_pool.emplace(static_cast<size_t>(options.num_threads));
-      pool = &*owned_pool;
-    }
-    ThreadPool::TaskGroup group(pool);
-    std::mutex stats_mu;
-    for (const std::vector<int>& prefix : prefixes) {
-      group.Submit([&problem, &shared, &stats_mu, &merged_stats, prefix] {
-        SearchContext context(problem, &shared);
-        // The prefix was feasible when enumerated; re-binding it must not
-        // re-count pruning statistics (a later best-cost update may even
-        // prune it now, which is then also not re-counted).
-        if (context.BindPrefix(prefix, /*count_stats=*/false)) {
-          context.Dfs(static_cast<int>(prefix.size()));
-        }
-        std::lock_guard<std::mutex> lock(stats_mu);
-        merged_stats.MergeFrom(context.stats());
-      });
-    }
-    group.Wait();
-  }
-
-  // Final snapshot with the exact merged totals (the amortized flushes can
-  // lag by up to one stride per worker).
-  if (options.progress) {
-    FtSearchProgress final_progress = SnapshotProgress(problem, &shared, 0);
-    final_progress.nodes_explored = merged_stats.nodes_explored;
-    final_progress.solutions_found = merged_stats.solutions_found;
-    final_progress.cpu_prunes = merged_stats.cpu.count;
-    final_progress.compl_prunes = merged_stats.compl_.count;
-    final_progress.cost_prunes = merged_stats.cost.count;
-    final_progress.dom_prunes = merged_stats.dom.count;
-    options.progress(final_progress);
-  }
+  shared.next_progress = std::max<uint64_t>(1, options.progress_interval_nodes);
 
   FtSearchResult result;
-  result.stats = merged_stats;
+  if (options.seed_greedy && problem.num_vars > 0) {
+    // The seed binds through a throwaway context so every constraint is
+    // verified; a successful full bind records it as the incumbent.
+    SearchContext seeder(problem, &shared, /*seeder=*/true);
+    if (seeder.BindPrefix(GreedySeedAssignment(problem))) seeder.RecordIfComplete();
+    result.stats.MergeFrom(seeder.stats());
+  }
+  SearchContext context(problem, &shared);
+  context.Dfs(0);
+  result.stats.MergeFrom(context.stats());
+  if (options.progress) options.progress(SnapshotProgress(problem, shared, result.stats));
+
   result.total_seconds = shared.watch.ElapsedSeconds();
-  const bool timed_out = shared.timed_out.load();
   if (shared.found_any) {
-    result.outcome = timed_out ? SearchOutcome::kFeasible : SearchOutcome::kOptimal;
+    result.outcome = shared.timed_out ? SearchOutcome::kFeasible : SearchOutcome::kOptimal;
     result.strategy = AssignmentToStrategy(problem, shared.best_assignment);
     result.best_cost = shared.best_cost;
     result.best_ic =
@@ -954,7 +810,7 @@ Result<FtSearchResult> RunFtSearch(const model::ApplicationGraph& graph,
     result.first_solution_seconds = shared.first_seconds;
     result.best_solution_seconds = shared.best_seconds;
   } else {
-    result.outcome = timed_out ? SearchOutcome::kTimeout : SearchOutcome::kInfeasible;
+    result.outcome = shared.timed_out ? SearchOutcome::kTimeout : SearchOutcome::kInfeasible;
   }
   return result;
 }

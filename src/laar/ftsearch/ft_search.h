@@ -15,10 +15,6 @@
 #include "laar/obs/metrics_registry.h"
 #include "laar/strategy/activation_strategy.h"
 
-namespace laar {
-class ThreadPool;
-}
-
 namespace laar::ftsearch {
 
 /// How a search run terminated, matching the paper's Fig. 4 labels.
@@ -56,10 +52,8 @@ struct FtSearchStats {
 };
 
 /// Point-in-time snapshot of a running search, delivered to the `progress`
-/// callback. Counts are global (summed over all workers) but approximate
-/// while the search runs: workers flush their local counters when they
-/// charge the shared budget (FtSearchOptions::node_limit), at most every
-/// 512 stop checks.
+/// callback. The counts are the search's own, exact at the moment of the
+/// snapshot; the final snapshot also counts the greedy seed's solution.
 struct FtSearchProgress {
   double elapsed_seconds = 0.0;
   uint64_t nodes_explored = 0;
@@ -88,20 +82,11 @@ struct FtSearchOptions {
   /// expires (§4.5 uses 10 minutes). <= 0 means no limit.
   double time_limit_seconds = 600.0;
 
-  /// Worker threads. 1 = fully deterministic sequential search; > 1 splits
-  /// the top of the search tree across a thread pool (the paper's Fork/Join
-  /// parallelization).
+  /// No effect: the search is serial and deterministic, and parallelism
+  /// comes from running many searches side by side (runtime::RunCorpus,
+  /// the search-study benches). Only benchmark/laar_bench.cc still sets it;
+  /// the field goes when that assignment does.
   int num_threads = 1;
-
-  /// Tree levels enumerated to create parallel tasks (num_threads > 1).
-  int split_depth = 3;
-
-  /// Borrowed pool to run parallel root-splitting tasks on (num_threads > 1
-  /// only). When null, the search creates a private pool of `num_threads`
-  /// workers. Sharing one pool lets an outer fan-out level (e.g. the
-  /// experiment-corpus runner) and FT-Search coexist without
-  /// oversubscribing the machine.
-  laar::ThreadPool* pool = nullptr;
 
   bool enable_cpu_pruning = true;
   bool enable_ic_pruning = true;
@@ -131,12 +116,11 @@ struct FtSearchOptions {
   bool try_both_first = true;
 
   /// Observational progress hook: invoked roughly every
-  /// `progress_interval_nodes` explored nodes (from whichever worker
-  /// crosses the threshold — at most one invocation per threshold) and once
-  /// more after the search finishes, with exact final counts. The callback
-  /// must be thread-safe when num_threads > 1 and must not block: it runs
-  /// on the search's hot path. It cannot influence the search, so results
-  /// are identical with and without it.
+  /// `progress_interval_nodes` explored nodes (at most once per threshold,
+  /// when the search next charges its budget) and once more after the
+  /// search finishes. It must not block: it runs on the search's hot path.
+  /// It cannot influence the search, so results are identical with and
+  /// without it.
   std::function<void(const FtSearchProgress&)> progress;
   uint64_t progress_interval_nodes = 1u << 16;
 
@@ -144,10 +128,9 @@ struct FtSearchOptions {
   /// its budget when it enters a node and again after each value it tries,
   /// about four times per explored node, so a search stopped by this limit
   /// reports roughly node_limit / 4 `nodes_explored`. Unlike the wall-clock
-  /// limit, this budget is deterministic: for a sequential search
-  /// (num_threads = 1) the outcome is a pure function of the inputs,
-  /// independent of machine load. The corpus runner relies on this to keep
-  /// its records invariant under --jobs.
+  /// limit, this budget is deterministic: the outcome is a pure function of
+  /// the inputs, independent of machine load. The corpus runner relies on
+  /// this to keep its records invariant under --jobs.
   uint64_t node_limit = 0;
 };
 
@@ -182,7 +165,7 @@ void PublishTo(obs::MetricsRegistry* registry, const FtSearchStats& stats,
 /// Runs FT-Search (§4.5): a depth-first branch-and-bound over the replica
 /// activation states of every (PE, input configuration) pair, restricted to
 /// twofold replication (k = 2), with the CPU / COMPL / COST / DOM pruning
-/// strategies.
+/// strategies. The search runs serially on the calling thread.
 ///
 /// Requirements: validated graph and placement, k = 2, every PE placed,
 /// `rates` computed from the same graph/space.

@@ -16,23 +16,9 @@ CorpusResult RunCorpus(const HarnessOptions& harness, const CorpusOptions& corpu
   const int jobs = ResolveJobs(corpus.jobs);
   const int max_skips = corpus.num_apps * corpus.max_skips_factor;
 
-  HarnessOptions options = harness;
+  // `jobs` threads in all: ParallelFor adds the calling thread.
   std::optional<ThreadPool> pool;
-  if (jobs > 1) {
-    // `jobs` threads in all: ParallelFor adds the calling thread.
-    pool.emplace(static_cast<size_t>(jobs - 1));
-    // The pool is spent on the seed and simulation fan-outs; a parallel
-    // FT-Search inside a probe would oversubscribe, so it drops to one
-    // thread.
-    options.variants.ftsearch_threads = 1;
-    options.variants.ftsearch_pool = nullptr;
-  } else if (options.variants.ftsearch_threads > 1 &&
-             options.variants.ftsearch_pool == nullptr) {
-    // Serial corpus: the parallelism budget goes to FT-Search root
-    // splitting, on one shared pool across all searches.
-    pool.emplace(static_cast<size_t>(options.variants.ftsearch_threads));
-    options.variants.ftsearch_pool = &*pool;
-  }
+  if (jobs > 1) pool.emplace(static_cast<size_t>(jobs - 1));
 
   // Phase 1: the usability step alone decides which seeds are kept. It
   // writes no trace and publishes no metric, so surplus probes past the
@@ -40,8 +26,8 @@ CorpusResult RunCorpus(const HarnessOptions& harness, const CorpusOptions& corpu
   std::vector<SeedProbe<PreparedExperiment>> kept =
       CollectUsableSeeds<PreparedExperiment>(
           corpus.num_apps, corpus.seed_base, jobs, max_skips,
-          [&options](uint64_t seed) -> std::optional<PreparedExperiment> {
-            Result<PreparedExperiment> prepared = PrepareExperiment(options, seed);
+          [&harness](uint64_t seed) -> std::optional<PreparedExperiment> {
+            Result<PreparedExperiment> prepared = PrepareExperiment(harness, seed);
             if (!prepared.ok()) return std::nullopt;
             return std::move(*prepared);
           },
@@ -61,11 +47,11 @@ CorpusResult RunCorpus(const HarnessOptions& harness, const CorpusOptions& corpu
     size_t variant;
     FailureScenario scenario;
   };
-  const std::vector<FailureScenario> scenarios = HarnessScenarios(options);
+  const std::vector<FailureScenario> scenarios = HarnessScenarios(harness);
   std::vector<Task> tasks;
   result.records.reserve(kept.size());
   for (size_t a = 0; a < kept.size(); ++a) {
-    result.records.push_back(StartRecord(options, kept[a].value));
+    result.records.push_back(StartRecord(harness, kept[a].value));
     for (size_t v = 0; v < kept[a].value.variants.size(); ++v) {
       for (FailureScenario scenario : scenarios) tasks.push_back({a, v, scenario});
     }
@@ -77,7 +63,7 @@ CorpusResult RunCorpus(const HarnessOptions& harness, const CorpusOptions& corpu
     if (failed) return;
     const Task& task = tasks[i];
     Result<double> ran =
-        RunVariantScenario(options, kept[task.app].value, task.variant, task.scenario,
+        RunVariantScenario(harness, kept[task.app].value, task.variant, task.scenario,
                            &result.records[task.app].variants[task.variant]);
     if (!ran.ok()) {
       errors[i] = ran.status();

@@ -62,10 +62,8 @@ struct CorpusResult {
 ///
 /// Thread budget: with `jobs > 1` the runner owns one `laar::ThreadPool` of
 /// `jobs - 1` workers, which with the calling thread makes `jobs` threads
-/// for both phases; FT-Search inside a probe is forced to a single thread
-/// so the two levels never oversubscribe. With `jobs == 1` everything runs
-/// serially and `harness.variants.ftsearch_threads` may parallelize each
-/// search instead.
+/// for both phases. Each FT-Search is serial, so a probe uses one thread.
+/// With `jobs == 1` everything runs serially on the calling thread.
 CorpusResult RunCorpus(const HarnessOptions& harness, const CorpusOptions& corpus);
 
 }  // namespace laar::runtime

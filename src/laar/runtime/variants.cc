@@ -27,8 +27,6 @@ Result<std::vector<NamedVariant>> BuildVariants(const appgen::GeneratedApplicati
     search_options.ic_requirement = ic;
     search_options.time_limit_seconds = options.ftsearch_time_limit_seconds;
     search_options.node_limit = options.ftsearch_node_limit;
-    search_options.num_threads = options.ftsearch_threads;
-    search_options.pool = options.ftsearch_pool;
     LAAR_ASSIGN_OR_RETURN(ftsearch::FtSearchResult result,
                           ftsearch::RunFtSearch(graph, space, rates, app.placement,
                                                 app.cluster, search_options));

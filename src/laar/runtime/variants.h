@@ -35,12 +35,6 @@ struct VariantBuildOptions {
   /// success/failure of BuildVariants independent of machine load, which the
   /// parallel corpus runner relies on for --jobs-invariant seed selection.
   uint64_t ftsearch_node_limit = 0;
-  int ftsearch_threads = 1;
-  /// Borrowed pool for parallel FT-Search (ftsearch_threads > 1); see
-  /// FtSearchOptions::pool. The corpus runner shares its pool here when it
-  /// itself runs serially, and forces ftsearch_threads = 1 when it fans
-  /// out applications instead.
-  laar::ThreadPool* ftsearch_pool = nullptr;
 };
 
 /// Builds the full §5.2 variant set for one generated application, in the

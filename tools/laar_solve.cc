@@ -5,7 +5,7 @@
 // Usage:
 //   laar_solve --app=app.json --out=strategy.json --ic=0.7
 //              [--hosts=12] [--capacity=1e9] [--time-limit=600]
-//              [--node-limit=N] [--threads=1]
+//              [--node-limit=N]
 //              [--placement=balanced|roundrobin|domain]
 //              [--hosts-per-rack=N] [--racks-per-zone=N]
 //              [--progress[=NODES]]
@@ -19,8 +19,8 @@
 // --node-limit caps the search at N stop checks (default 0: no cap). The
 // search checks its budget when it enters a node and after each value it
 // tries, about four times per explored node; this is the same budget as the
-// corpus benches' --node-limit. With --time-limit=0 and --threads=1 the
-// result is a pure function of the inputs, whatever the machine's load.
+// corpus benches' --node-limit. With --time-limit=0 the result is a pure
+// function of the inputs, whatever the machine's load.
 //
 // --progress streams live search snapshots (nodes explored, incumbent cost,
 // per-rule prune counts) to stderr, roughly every NODES explored nodes
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: laar_solve --app=app.json --out=strategy.json --ic=0.7\n"
                  "       [--hosts=N] [--capacity=CYCLES_PER_SEC] [--time-limit=SECONDS]\n"
-                 "       [--node-limit=STOP_CHECKS] [--threads=N]\n"
+                 "       [--node-limit=STOP_CHECKS]\n"
                  "       [--placement=balanced|roundrobin|domain]\n"
                  "       [--hosts-per-rack=N] [--racks-per-zone=N]\n"
                  "       [--progress[=NODES]]\n");
@@ -92,7 +92,6 @@ int main(int argc, char** argv) {
   options.ic_requirement = flags.GetDouble("ic", 0.7);
   options.time_limit_seconds = flags.GetDouble("time-limit", 600.0);
   options.node_limit = flags.GetUint64("node-limit", 0);
-  options.num_threads = flags.GetInt("threads", 1);
   if (flags.Has("progress")) {
     const uint64_t interval = flags.GetUint64("progress", 1);
     if (interval > 1) options.progress_interval_nodes = interval;
