@@ -34,6 +34,7 @@ int main(int argc, char** argv) {
   const uint64_t seed_base = flags.GetUint64("seed", 9000);
   const double time_limit = flags.GetDouble("time-limit", 5.0);
   const int jobs = laar::bench::JobsFromFlags(flags);
+  flags.Finish();
 
   laar::bench::PrintHeader(
       "Ablation", "failure-model bounds for L.x strategies (§6.i)",

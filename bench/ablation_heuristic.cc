@@ -31,6 +31,7 @@ int main(int argc, char** argv) {
   const double time_limit = flags.GetDouble("time-limit", 3.0);
   const uint64_t seed_base = flags.GetUint64("seed", 8000);
   const int jobs = laar::ResolveJobs(laar::bench::JobsFromFlags(flags));
+  flags.Finish();
 
   laar::bench::PrintHeader("Ablation", "FT-Search exploration-order heuristics",
                            "hungriest-config-first explores fewer nodes");

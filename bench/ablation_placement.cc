@@ -38,6 +38,7 @@ int main(int argc, char** argv) {
   const int iterations = flags.GetInt("iterations", 10);
   const int pes = flags.GetInt("pes", 12);
   const int hosts = flags.GetInt("hosts", 6);
+  flags.Finish();
 
   laar::bench::PrintHeader("Ablation", "placement/activation interaction (§6.iii)",
                            "balanced beats round-robin; local search never loses to "

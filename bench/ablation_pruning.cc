@@ -40,6 +40,7 @@ int main(int argc, char** argv) {
   const double time_limit = flags.GetDouble("time-limit", 3.0);
   const uint64_t seed_base = flags.GetUint64("seed", 7000);
   const int jobs = laar::ResolveJobs(laar::bench::JobsFromFlags(flags));
+  flags.Finish();
 
   laar::bench::PrintHeader("Ablation", "FT-Search pruning rules disabled one at a time",
                            "identical optima; more nodes without each rule");

@@ -17,19 +17,9 @@
 
 namespace laar::bench {
 
-/// Shared configuration of the §5.3 cluster-experiment benches (Fig. 9-12),
-/// built from common command-line flags:
-///   --apps=N            corpus size (default 12; the paper uses 100)
-///   --pes=N             PEs per application (default 24, as in the paper)
-///   --hosts=N           cluster hosts (default 12)
-///   --trace-seconds=S   trace length (default 120; the paper uses 300)
-///   --node-limit=N      FT-Search node budget per L.x variant (default 2M;
-///                       0 = unlimited)
-///   --time-limit=S      FT-Search wall-clock budget per L.x variant
-///                       (default 0 = unlimited; the node budget governs)
-///   --seed=S            corpus base seed
-///   --jobs=N            parallel corpus workers (default 1; 0 = all cores)
-///   --crash             also run the host-crash scenario
+/// Shared configuration of the §5.3 cluster-experiment benches (Fig. 9-12)
+/// from their common flags (`--help` lists them; EXPERIMENTS.md gives the
+/// paper's values). --crash also runs the host-crash scenario.
 inline runtime::HarnessOptions HarnessFromFlags(const Flags& flags) {
   runtime::HarnessOptions options;
   options.generator.num_pes = flags.GetInt("pes", 24);
@@ -59,10 +49,12 @@ inline runtime::HarnessOptions HarnessFromFlags(const Flags& flags) {
 /// some L.x search returns no strategy, proven infeasible or out of
 /// budget) on `jobs` threads. Records are identical for any `jobs` value; see
 /// `runtime::RunCorpus`. A failed run (a simulation or trace-write error)
-/// is reported and exits the process with status 1.
+/// is reported and exits the process with status 1. Creates `trace_dir`.
 inline std::vector<runtime::AppExperimentRecord> RunExperimentCorpus(
     const runtime::HarnessOptions& options, int num_apps, uint64_t seed_base,
     bool verbose = true, int jobs = 1) {
+  std::error_code ec;
+  if (!options.trace_dir.empty()) std::filesystem::create_directories(options.trace_dir, ec);
   runtime::CorpusOptions corpus;
   corpus.num_apps = num_apps;
   corpus.seed_base = seed_base;
@@ -76,58 +68,38 @@ inline std::vector<runtime::AppExperimentRecord> RunExperimentCorpus(
   return std::move(result.records);
 }
 
-/// Opt-in observability for the corpus benches, from shared flags:
-///   --trace-dir=DIR        write one Chrome trace-event JSON file per
-///                          (seed, variant, scenario) simulation into DIR
-///                          (created if missing)
-///   --trace-categories=L   comma-separated category filter (drops, queues,
-///                          activation, failures, config, spans, engine)
-///   --trace-capacity=N     per-recorder ring capacity, in events
-///   --metrics-out=FILE     write the corpus JSON document, including the
-///                          serialized metrics registry, to FILE
-///   --timeseries           also record ts_* telemetry series per
-///                          (seed, variant, scenario) into the registry
-///   --telemetry-period=S   telemetry sampling period (default 1 s)
-///   --latency-sample-rate=R  sampled per-tuple latency tracing; publishes
-///                          trace_* percentile gauges per simulation
-///   --latency-seed=S       sampling seed (default 1)
+/// Opt-in observability for the corpus benches, from shared flags.
+/// --trace-dir writes one Chrome trace per (seed, variant, scenario)
+/// simulation into a directory it creates, keeping --trace-categories in a
+/// ring of --trace-capacity events. --metrics-out writes the corpus JSON
+/// document with the serialized metrics registry. --timeseries records ts_*
+/// telemetry every --telemetry-period seconds; --latency-sample-rate samples
+/// per-tuple latency into trace_* percentile gauges. An unknown trace
+/// category exits 2.
 ///
 /// The registry always collects (it is cheap and gives every bench the
 /// one-line aggregate summary); traces, telemetry series, latency sampling
-/// and the JSON dump are opt-in. The instance must outlive the corpus run
-/// it is wired into.
+/// and the JSON dump are opt-in. The constructor reads the flags into
+/// `options`; the instance must outlive the corpus run `options` drives.
 class CorpusObservability {
  public:
-  explicit CorpusObservability(const Flags& flags)
-      : trace_dir_(flags.GetString("trace-dir", "")),
-        metrics_out_(flags.GetString("metrics-out", "")) {
-    trace_categories_ =
-        obs::ParseCategoryList(flags.GetString("trace-categories", ""), &ok_);
-    if (!ok_) std::fprintf(stderr, "unknown name in --trace-categories\n");
-    trace_capacity_ = static_cast<size_t>(
-        flags.GetUint64("trace-capacity", uint64_t{1} << 18));
-    record_timeseries_ = flags.Has("timeseries");
-    telemetry_period_seconds_ = flags.GetDouble("telemetry-period", 1.0);
-    latency_sample_rate_ = flags.GetDouble("latency-sample-rate", 0.0);
-    latency_seed_ = flags.GetUint64("latency-seed", 1);
-  }
-
-  /// False when a flag failed to parse; callers should exit.
-  bool ok() const { return ok_; }
-
-  void WireInto(runtime::HarnessOptions* options) {
-    if (!trace_dir_.empty()) {
-      std::error_code ec;
-      std::filesystem::create_directories(trace_dir_, ec);
-      options->trace_dir = trace_dir_;
-      options->trace_categories = trace_categories_;
-      options->trace_capacity = trace_capacity_;
+  CorpusObservability(const Flags& flags, runtime::HarnessOptions* options)
+      : metrics_out_(flags.GetString("metrics-out", "")) {
+    options->trace_dir = flags.GetString("trace-dir", "");
+    bool categories_ok = false;
+    options->trace_categories =
+        obs::ParseCategoryList(flags.GetString("trace-categories", ""), &categories_ok);
+    if (!categories_ok) {
+      std::fprintf(stderr, "unknown name in --trace-categories\n");
+      std::exit(2);
     }
+    options->trace_capacity =
+        static_cast<size_t>(flags.GetUint64("trace-capacity", uint64_t{1} << 18));
     options->metrics = &registry_;
-    options->record_timeseries = record_timeseries_;
-    options->telemetry_period_seconds = telemetry_period_seconds_;
-    options->latency_sample_rate = latency_sample_rate_;
-    options->latency_seed = latency_seed_;
+    options->record_timeseries = flags.Has("timeseries");
+    options->telemetry_period_seconds = flags.GetDouble("telemetry-period", 1.0);
+    options->latency_sample_rate = flags.GetDouble("latency-sample-rate", 0.0);
+    options->latency_seed = flags.GetUint64("latency-seed", 1);
   }
 
   const obs::MetricsRegistry& registry() const { return registry_; }
@@ -152,15 +124,7 @@ class CorpusObservability {
 
  private:
   obs::MetricsRegistry registry_;
-  std::string trace_dir_;
   std::string metrics_out_;
-  uint32_t trace_categories_ = obs::kAllCategories;
-  size_t trace_capacity_ = 1u << 18;
-  bool record_timeseries_ = false;
-  double telemetry_period_seconds_ = 1.0;
-  double latency_sample_rate_ = 0.0;
-  uint64_t latency_seed_ = 1;
-  bool ok_ = true;
 };
 
 /// The variant labels in the paper's plotting order.

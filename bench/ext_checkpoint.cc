@@ -45,12 +45,13 @@ int main(int argc, char** argv) {
   /// Steady-state checkpointing overhead as a CPU fraction ([18] reports
   /// single-digit percentages for language-level checkpointing).
   const double overhead = flags.GetDouble("overhead", 0.05);
+  const auto options = laar::bench::HarnessFromFlags(flags);
+  flags.Finish();
 
   laar::bench::PrintHeader("Extension", "checkpointing vs active replication vs LAAR",
                            "CKPT ~ NR cost but NR-like crash completeness; SR/LAAR "
                            "ride through failures at higher cost");
 
-  auto options = laar::bench::HarnessFromFlags(flags);
   std::map<std::string, laar::SampleStats> cost_vs_nr;
   std::map<std::string, laar::SampleStats> crash_ic;
 

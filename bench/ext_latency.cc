@@ -36,12 +36,13 @@ int main(int argc, char** argv) {
   const int num_apps = flags.GetInt("apps", 6);
   const uint64_t seed_base = flags.GetUint64("seed", 60000);
   const int jobs = laar::bench::JobsFromFlags(flags);
+  const auto options = laar::bench::HarnessFromFlags(flags);
+  flags.Finish();
 
   laar::bench::PrintHeader("Extension", "sink latency percentiles by variant",
                            "SR latency explodes toward the queue bound during High; "
                            "dynamic variants stay near service time");
 
-  auto options = laar::bench::HarnessFromFlags(flags);
   std::map<std::string, laar::SampleStats> p50;
   std::map<std::string, laar::SampleStats> p99;
   std::map<std::string, laar::SampleStats> max_latency;

@@ -31,15 +31,16 @@ int main(int argc, char** argv) {
   const double ic_target = flags.GetDouble("ic-target", 0.7);
   const double time_limit = flags.GetDouble("time-limit", 1.0);
   const int jobs = laar::bench::JobsFromFlags(flags);
-
-  laar::bench::PrintHeader("Extension", "penalty-model operating points (§6.ii)",
-                           "rising penalty rates move the optimum from cheap/low-IC "
-                           "to expensive/target-IC");
-
   laar::appgen::GeneratorOptions generator;
   generator.num_pes = flags.GetInt("pes", 16);
   generator.num_hosts = flags.GetInt("hosts", 8);
   generator.high_overload_max = 1.2;
+  const int grid_steps = flags.GetInt("grid", 7);
+  flags.Finish();
+
+  laar::bench::PrintHeader("Extension", "penalty-model operating points (§6.ii)",
+                           "rising penalty rates move the optimum from cheap/low-IC "
+                           "to expensive/target-IC");
 
   // Find an instance solvable at the target (one cheap solve per
   // candidate, fanned out over --jobs workers), then sweep its frontier
@@ -77,7 +78,7 @@ int main(int argc, char** argv) {
   laar::ftsearch::PenaltySweepOptions options;
   options.ic_target = ic_target;
   options.penalty_rate = 0.0;
-  options.grid_steps = flags.GetInt("grid", 7);
+  options.grid_steps = grid_steps;
   options.time_limit_seconds = time_limit;
   auto sweep = laar::ftsearch::SweepPenaltyFrontier(app.descriptor.graph,
                                                     app.descriptor.input_space, rates,

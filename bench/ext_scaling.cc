@@ -82,6 +82,7 @@ int main(int argc, char** argv) {
   const double time_limit = flags.GetDouble("time-limit", 3.0);
   const uint64_t seed = flags.GetUint64("seed", 64000);
   const int jobs = laar::bench::JobsFromFlags(flags);
+  flags.Finish();
 
   laar::bench::PrintHeader("Extension", "FT-Search scalability in |P| and |C|",
                            "nodes grow fast with |P|·|C|; proofs get rarer, feasible "

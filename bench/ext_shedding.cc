@@ -37,13 +37,13 @@ int main(int argc, char** argv) {
   const uint64_t seed_base = flags.GetUint64("seed", 65000);
   const int jobs = laar::bench::JobsFromFlags(flags);
   const double shed_threshold = flags.GetDouble("shed-threshold", 0.2);
+  const auto options = laar::bench::HarnessFromFlags(flags);
+  flags.Finish();
 
   laar::bench::PrintHeader(
       "Extension", "overload defences: queueing vs shedding vs LAAR (§2)",
       "SR+queues: high latency; SR+shedding: low latency, most loss; LAAR: low "
       "latency and near-zero loss");
-
-  auto options = laar::bench::HarnessFromFlags(flags);
 
   struct Row {
     laar::SampleStats loss_fraction;

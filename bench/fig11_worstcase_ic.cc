@@ -21,18 +21,18 @@ int main(int argc, char** argv) {
   laar::bench::Flags flags(argc, argv);
   const int num_apps = flags.GetInt("apps", 12);
   const uint64_t seed = flags.GetUint64("seed", 30000);
+  auto options = laar::bench::HarnessFromFlags(flags);
+  options.run_host_crash = true;  // the bottom panel needs it
+  laar::bench::CorpusObservability observability(flags, &options);
+  const int jobs = laar::bench::JobsFromFlags(flags);
+  flags.Finish();
 
   laar::bench::PrintHeader(
       "Fig. 11", "samples processed under failures, / failure-free NR",
       "worst case: NR ~ 0, L.x >= promised IC, GRD erratic; host crash: all high");
 
-  auto options = laar::bench::HarnessFromFlags(flags);
-  options.run_host_crash = true;  // the bottom panel needs it
-  laar::bench::CorpusObservability observability(flags);
-  if (!observability.ok()) return 2;
-  observability.WireInto(&options);
   const auto records = laar::bench::RunExperimentCorpus(
-      options, num_apps, seed, /*verbose=*/true, laar::bench::JobsFromFlags(flags));
+      options, num_apps, seed, /*verbose=*/true, jobs);
 
   std::map<std::string, laar::SampleStats> worst_ratio;
   std::map<std::string, laar::SampleStats> crash_ratio;

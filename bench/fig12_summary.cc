@@ -17,17 +17,17 @@ int main(int argc, char** argv) {
   laar::bench::Flags flags(argc, argv);
   const int num_apps = flags.GetInt("apps", 12);
   const uint64_t seed = flags.GetUint64("seed", 40000);
+  auto options = laar::bench::HarnessFromFlags(flags);
+  laar::bench::CorpusObservability observability(flags, &options);
+  const int jobs = laar::bench::JobsFromFlags(flags);
+  flags.Finish();
 
   laar::bench::PrintHeader("Fig. 12", "summary: drops / worst-case IC / cost, vs SR",
                            "cost ordering NR < L.5 < L.6 < L.7 < GRD < SR; IC "
                            "ordering NR < L.5 < L.6 < L.7 < SR");
 
-  auto options = laar::bench::HarnessFromFlags(flags);
-  laar::bench::CorpusObservability observability(flags);
-  if (!observability.ok()) return 2;
-  observability.WireInto(&options);
   const auto records = laar::bench::RunExperimentCorpus(
-      options, num_apps, seed, /*verbose=*/true, laar::bench::JobsFromFlags(flags));
+      options, num_apps, seed, /*verbose=*/true, jobs);
 
   std::map<std::string, laar::SampleStats> drops;
   std::map<std::string, laar::SampleStats> ic;

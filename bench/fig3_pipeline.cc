@@ -78,6 +78,7 @@ int main(int argc, char** argv) {
   laar::bench::Flags flags(argc, argv);
   const double total = flags.GetDouble("total-seconds", 120.0);
   const double step_at = flags.GetDouble("step-at", 50.0);
+  flags.Finish();
 
   laar::bench::PrintHeader(
       "Fig. 3", "pipeline CPU and in/out rates, static replication vs LAAR",

@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   const int num_apps = flags.GetInt("apps", 24);
   const double time_limit = flags.GetDouble("time-limit", 1.0);
   const uint64_t seed = flags.GetUint64("seed", 100);
+  flags.Finish();
 
   laar::bench::PrintHeader("Fig. 4", "FT-Search outcome counts vs IC constraint",
                            "NUL grows with IC; BST+SOL shrink; TMO small");

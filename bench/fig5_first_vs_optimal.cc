@@ -16,6 +16,7 @@ int main(int argc, char** argv) {
   const int num_apps = flags.GetInt("apps", 20);
   const double time_limit = flags.GetDouble("time-limit", 2.0);
   const uint64_t seed = flags.GetUint64("seed", 500);
+  flags.Finish();
 
   laar::bench::PrintHeader("Fig. 5", "first solution vs optimum (cost and time ratios)",
                            "cost ratio skewed right with mean slightly above 1; "

@@ -16,6 +16,7 @@ int main(int argc, char** argv) {
   const int num_apps = flags.GetInt("apps", 20);
   const double time_limit = flags.GetDouble("time-limit", 2.0);
   const uint64_t seed = flags.GetUint64("seed", 900);
+  flags.Finish();
 
   laar::bench::PrintHeader("Fig. 6", "pruning strategy usage and pruned-branch height",
                            "COMPL most applied, then DOM; CPU prunes the tallest "

@@ -18,17 +18,17 @@ int main(int argc, char** argv) {
   laar::bench::Flags flags(argc, argv);
   const int num_apps = flags.GetInt("apps", 12);
   const uint64_t seed = flags.GetUint64("seed", 10000);
+  auto options = laar::bench::HarnessFromFlags(flags);
+  laar::bench::CorpusObservability observability(flags, &options);
+  const int jobs = laar::bench::JobsFromFlags(flags);
+  flags.Finish();
 
   laar::bench::PrintHeader("Fig. 9", "best-case CPU time and tuple drops vs NR",
                            "cost: SR > GRD > L.7 > L.6 > L.5 >= NR; drops: SR >> "
                            "dynamic variants");
 
-  auto options = laar::bench::HarnessFromFlags(flags);
-  laar::bench::CorpusObservability observability(flags);
-  if (!observability.ok()) return 2;
-  observability.WireInto(&options);
   const auto records = laar::bench::RunExperimentCorpus(
-      options, num_apps, seed, /*verbose=*/true, laar::bench::JobsFromFlags(flags));
+      options, num_apps, seed, /*verbose=*/true, jobs);
 
   std::map<std::string, laar::SampleStats> cpu_ratio;
   std::map<std::string, laar::SampleStats> drop_ratio;

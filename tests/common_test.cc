@@ -1,5 +1,8 @@
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <set>
 #include <string>
@@ -452,6 +455,69 @@ TEST(FlagsDeathTest, RejectsMalformedNumbers) {
               "--time-limit: expected a finite number");
   EXPECT_EXIT(flags.GetDouble("capacity", 0.0), exits_2,
               "--capacity: expected a finite number");
+}
+
+TEST(FlagsDeathTest, FinishRejectsWhatNoGetterRead) {
+  const auto exits_2 = ::testing::ExitedWithCode(2);
+  Flags unknown = ParseFlags({"--apps=3", "--no-such-flag=1"});
+  EXPECT_EQ(unknown.GetInt("apps", 12), 3);
+  EXPECT_EXIT(unknown.Finish(), exits_2, "unknown flag --no-such-flag ");
+  Flags stray = ParseFlags({"--apps=3", "stray"});
+  stray.GetInt("apps", 12);
+  EXPECT_EXIT(stray.Finish(), exits_2, "unexpected argument \"stray\"");
+  // A binary that takes positional arguments still gets no single-dash one.
+  Flags dash = ParseFlags({"summarize", "-x"});
+  dash.positional();
+  EXPECT_EXIT(dash.Finish(), exits_2, "unexpected argument \"-x\"");
+}
+
+TEST(FlagsTest, FinishAcceptsTakenPositionalArguments) {
+  Flags flags = ParseFlags({"diff", "--out=d.json", "a.json", "b.json"});
+  EXPECT_EQ(flags.GetString("out", ""), "d.json");
+  EXPECT_EQ(flags.positional(), (std::vector<std::string>{"diff", "a.json", "b.json"}));
+  flags.Finish();
+}
+
+TEST(FlagsDeathTest, HelpListsEachDeclaredFlagOnceInReadOrder) {
+  Flags flags = ParseFlags({"--help", "--unread=1"});
+  flags.GetInt("apps", 12);
+  flags.GetDouble("capacity", 1e9);
+  flags.Has("crash");
+  flags.GetString("out", "");
+  flags.GetInt("apps", 12);  // a second read declares nothing new
+  flags.Has("progress");
+  flags.GetUint64("progress", 65536);  // declared by Has, without a default
+  flags.GetDouble("high-fraction", 1.0 / 3.0);
+  flags.GetUint64("seed", 18446744073709551615u);
+  // Help goes to stdout; the death test matches stderr.
+  std::fflush(stdout);
+  EXPECT_EXIT(
+      {
+        dup2(STDERR_FILENO, STDOUT_FILENO);
+        flags.Finish();
+      },
+      ::testing::ExitedWithCode(0),
+      "^--apps=12\n--capacity=1e\\+09\n--crash\n--out=\n--progress\n"
+      "--high-fraction=0\\.3333333333333333\n--seed=18446744073709551615\n$");
+}
+
+TEST(FlagsDeathTest, GetterAfterFinishAborts) {
+  Flags flags = ParseFlags({"--apps=3"});
+  EXPECT_EQ(flags.GetInt("apps", 12), 3);
+  flags.Finish();
+  EXPECT_DEATH(flags.GetInt("apps", 12), "--apps read after Finish\\(\\)");
+  EXPECT_DEATH(flags.Has("late"), "--late read after Finish\\(\\)");
+}
+
+TEST(FlagsTest, UnfinishedFlagsWithoutArgumentsReturnEveryDefault) {
+  // The benchmark harness reads the corpus benches' defaults this way and
+  // never calls Finish().
+  const Flags flags(0, nullptr);
+  EXPECT_EQ(flags.GetInt("pes", 24), 24);
+  EXPECT_EQ(flags.GetDouble("trace-seconds", 120.0), 120.0);
+  EXPECT_EQ(flags.GetUint64("node-limit", 2000000), 2000000u);
+  EXPECT_EQ(flags.GetString("trace-categories", "drops"), "drops");
+  EXPECT_FALSE(flags.Has("crash"));
 }
 
 }  // namespace

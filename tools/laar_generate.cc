@@ -1,9 +1,6 @@
 // laar_generate — emit a synthetic application descriptor (§5.2 generator).
 //
-// Usage:
-//   laar_generate --out=app.json [--seed=N] [--profile=paper|web-scale]
-//                 [--pes=24] [--sources=1] [--sinks=1] [--hosts=12]
-//                 [--capacity=1e9]
+// `--help` lists the flags; --out is required.
 //
 // The descriptor is self-contained JSON consumable by laar_solve and
 // laar_simulate. The generated deployment is calibrated so that the
@@ -14,7 +11,8 @@
 // testbed scale; "web-scale" is 2048 PEs / 8 sources / 256 hosts with a
 // rack/zone failure topology and rack-spread placement, the workload the
 // sharded-engine scaling benchmarks run (EXPERIMENTS.md). Explicit size
-// flags override the chosen profile's values.
+// flags override the chosen profile's values (`--profile=web-scale --help`
+// lists that profile's).
 
 #include <cstdio>
 #include <string>
@@ -25,14 +23,6 @@
 int main(int argc, char** argv) {
   laar::Flags flags(argc, argv);
   const std::string path = flags.GetString("out", "");
-  if (path.empty()) {
-    std::fprintf(stderr,
-                 "usage: laar_generate --out=app.json [--seed=N] "
-                 "[--profile=paper|web-scale] [--pes=N] [--sources=N] "
-                 "[--sinks=N] [--hosts=N] [--capacity=CYCLES_PER_SEC]\n");
-    return 2;
-  }
-
   const std::string profile = flags.GetString("profile", "paper");
   laar::appgen::GeneratorOptions options;
   if (profile == "web-scale") {
@@ -48,6 +38,11 @@ int main(int argc, char** argv) {
   options.num_hosts = flags.GetInt("hosts", options.num_hosts);
   options.host_capacity = flags.GetDouble("capacity", options.host_capacity);
   const uint64_t seed = flags.GetUint64("seed", 1);
+  flags.Finish();
+  if (path.empty()) {
+    std::fprintf(stderr, "laar_generate: --out is required (see --help)\n");
+    return 2;
+  }
 
   auto app = laar::appgen::GenerateApplication(options, seed);
   if (!app.ok()) {

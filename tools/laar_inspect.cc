@@ -2,8 +2,8 @@
 // components, per-configuration rates and CPU demands, BIC, and optionally
 // a Graphviz rendering.
 //
-// Usage:
-//   laar_inspect --app=app.json [--spl] [--dot] [--capacity=1e9]
+// --app is required; --spl reads it as SPL text instead of JSON, and --dot
+// appends the Graphviz rendering.
 
 #include <cstdio>
 #include <string>
@@ -19,13 +19,16 @@
 int main(int argc, char** argv) {
   laar::Flags flags(argc, argv);
   const std::string path = flags.GetString("app", "");
+  const bool spl = flags.Has("spl");
+  const bool dot = flags.Has("dot");
+  flags.Finish();
   if (path.empty()) {
-    std::fprintf(stderr, "usage: laar_inspect --app=app.json [--spl] [--dot]\n");
+    std::fprintf(stderr, "laar_inspect: --app is required (see --help)\n");
     return 2;
   }
 
-  auto app = flags.Has("spl") ? laar::spl::ParseApplicationFile(path)
-                              : laar::model::ApplicationDescriptor::LoadFromFile(path);
+  auto app = spl ? laar::spl::ParseApplicationFile(path)
+                 : laar::model::ApplicationDescriptor::LoadFromFile(path);
   if (!app.ok()) {
     std::fprintf(stderr, "cannot load %s: %s\n", path.c_str(),
                  app.status().ToString().c_str());
@@ -65,7 +68,7 @@ int main(int argc, char** argv) {
                 rates->ArrivalRate(graph, pe, peak), rates->Rate(pe, peak));
   }
 
-  if (flags.Has("dot")) {
+  if (dot) {
     std::printf("\n%s", laar::model::ToDot(graph).c_str());
   }
   return 0;

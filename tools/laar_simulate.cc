@@ -2,23 +2,8 @@
 // trace against a deployed application under a replica activation strategy
 // and report the §5.3 metrics.
 //
-// Usage:
-//   laar_simulate --app=app.json --strategy=strategy.json
-//                 [--hosts=12] [--capacity=1e9]
-//                 [--trace-seconds=300] [--high-fraction=0.333] [--cycles=3]
-//                 [--crash-host=H --crash-at=T --crash-duration=16]
-//                 [--hosts-per-rack=N] [--racks-per-zone=N]
-//                 [--fail-domain=rack:R|zone:Z] [--crash-schedule=H@T+D,...]
-//                 [--worst-case] [--placement=balanced|roundrobin|domain]
-//                 [--jobs=N] [--shards=N] [--link-latency=S]
-//                 [--rack-latency-factor=K] [--zone-latency-factor=K]
-//                 [--trace-out=run.json] [--trace-categories=drops,failures]
-//                 [--trace-capacity=N]
-//                 [--latency-sample-rate=0.01] [--latency-seed=1]
-//                 [--metrics-out=metrics.json] [--profile-out=profile.json]
-//                 [--timeseries-out=ts.csv|ts.json] [--telemetry-period=1]
-//                 [--health-out=health.json] [--alerts="RULE;RULE;..."]
-//                 [--slo-latency-p99=S] [--slo-drop-rate=R]
+// `--help` lists the flags; --app and --strategy are required. The
+// deployment flags (tools/deployment.h) are read as laar_solve reads them.
 //
 // Under --worst-case, --crash-host, --fail-domain, or --crash-schedule a
 // failure-free reference simulation also runs (in parallel with the failure
@@ -101,32 +86,161 @@
 #include "laar/obs/metrics_registry.h"
 #include "laar/obs/run_info.h"
 #include "laar/obs/trace_recorder.h"
-#include "laar/placement/placement_algorithms.h"
 #include "laar/runtime/experiment.h"
+#include "tools/deployment.h"
 
+namespace {
+
+/// Host `host` down from `at` for `duration` seconds (`H@T+D` in --crash-schedule).
+struct HostCrash {
+  int host = -1;
+  double at = 0.0;
+  double duration = 0.0;
+};
+
+}  // namespace
 
 int main(int argc, char** argv) {
   laar::Flags flags(argc, argv);
   const std::string app_path = flags.GetString("app", "");
   const std::string strategy_path = flags.GetString("strategy", "");
+  const laar::tools::DeploymentFlags deployment_flags(flags);
+  const double trace_seconds = flags.GetDouble("trace-seconds", 300.0);
+  const double high_fraction = flags.GetDouble("high-fraction", 1.0 / 3.0);
+  const int cycles = flags.GetInt("cycles", 3);
+
+  laar::dsps::RuntimeOptions runtime;
+  runtime.shards = flags.GetInt("shards", 1);
+  runtime.link_latency_seconds = flags.GetDouble("link-latency", 0.0);
+  runtime.rack_latency_factor = flags.GetInt("rack-latency-factor", 1);
+  runtime.zone_latency_factor = flags.GetInt("zone-latency-factor", 1);
+
+  const std::string trace_out = flags.GetString("trace-out", "");
+  laar::obs::TraceRecorder::Options trace_options;
+  trace_options.capacity =
+      static_cast<size_t>(flags.GetUint64("trace-capacity", trace_options.capacity));
+  bool categories_ok = false;
+  trace_options.categories = laar::obs::ParseCategoryList(
+      flags.GetString("trace-categories", ""), &categories_ok);
+  if (!categories_ok) {
+    std::fprintf(stderr, "unknown name in --trace-categories\n");
+    return 2;
+  }
+  const std::string metrics_out = flags.GetString("metrics-out", "");
+  const std::string timeseries_out = flags.GetString("timeseries-out", "");
+  runtime.telemetry_period_seconds = flags.GetDouble("telemetry-period", 1.0);
+  const double sample_rate = flags.GetDouble("latency-sample-rate", 0.0);
+  const uint64_t latency_seed = flags.GetUint64("latency-seed", 1);
+  const std::string profile_out = flags.GetString("profile-out", "");
+
+  const std::string health_out = flags.GetString("health-out", "");
+  const bool has_alerts = flags.Has("alerts");
+  const bool has_slo_latency = flags.Has("slo-latency-p99");
+  const bool has_slo_drop = flags.Has("slo-drop-rate");
+  const bool want_health = !health_out.empty() || has_alerts || has_slo_latency || has_slo_drop;
+  std::vector<laar::obs::AlertRule> rules;
+  if (want_health) {
+    auto parsed = laar::obs::ParseAlertRules(flags.GetString("alerts", ""));
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
+      return 2;
+    }
+    rules = std::move(parsed).value();
+    if (has_slo_latency) {
+      auto slo = laar::obs::ParseAlertRule(
+          laar::StrFormat("slo_latency_p99: sim_sink_latency_p99_seconds > %.17g crit",
+                          flags.GetDouble("slo-latency-p99", 1.0)));
+      rules.push_back(std::move(slo).value());
+    }
+    if (has_slo_drop) {
+      auto slo = laar::obs::ParseAlertRule(
+          laar::StrFormat("slo_drop_rate: ts_drop_rate > %.17g crit",
+                          flags.GetDouble("slo-drop-rate", 0.0)));
+      rules.push_back(std::move(slo).value());
+    }
+    if (rules.empty()) {
+      // Default watchdogs so --health-out alone yields a useful report:
+      // any drops, or a host pinned near saturation, are worth a warning.
+      rules.push_back(
+          laar::obs::ParseAlertRule("drops: ts_drop_rate > 0 warn").value());
+      rules.push_back(
+          laar::obs::ParseAlertRule("saturation: ts_host_cpu_util > 0.99 for 5 warn")
+              .value());
+    }
+  }
+
+  const bool worst_case = flags.Has("worst-case");
+  const bool crash_host = flags.Has("crash-host");
+  const double crash_at = flags.GetDouble("crash-at", 10.0);
+  const double crash_duration = flags.GetDouble("crash-duration", 16.0);
+  // Host crashes in injection order: --crash-host, the --fail-domain hosts
+  // (added once the cluster exists), then --crash-schedule.
+  std::vector<HostCrash> crashes;
+  if (crash_host) crashes.push_back({flags.GetInt("crash-host", 0), crash_at, crash_duration});
+  // --fail-domain: "rack:R", "zone:Z", or a bare rack id.
+  const bool fail_domain = flags.Has("fail-domain");
+  const std::string domain_spec = flags.GetString("fail-domain", "0");
+  laar::model::DomainLevel domain_level = laar::model::DomainLevel::kRack;
+  int domain = -1;
+  if (fail_domain) {
+    std::string id_part = domain_spec;
+    if (domain_spec.starts_with("rack:")) {
+      id_part = domain_spec.substr(5);
+    } else if (domain_spec.starts_with("zone:")) {
+      domain_level = laar::model::DomainLevel::kZone;
+      id_part = domain_spec.substr(5);
+    }
+    int consumed = -1;  // %n: the id must be all of id_part
+    if (std::sscanf(id_part.c_str(), "%d%n", &domain, &consumed) != 1 ||
+        consumed != static_cast<int>(id_part.size())) {
+      std::fprintf(stderr, "cannot parse --fail-domain=%s\n", domain_spec.c_str());
+      return 2;
+    }
+  }
+  // Comma-separated `H@T+D` entries; overlapping windows are legal and
+  // merge inside the simulation.
+  const bool has_schedule = flags.Has("crash-schedule");
+  const std::string schedule = flags.GetString("crash-schedule", "");
+  std::vector<HostCrash> scheduled_crashes;
+  for (size_t begin = 0; begin < schedule.size();) {
+    size_t end = schedule.find(',', begin);
+    if (end == std::string::npos) end = schedule.size();
+    const std::string entry = schedule.substr(begin, end - begin);
+    HostCrash crash;
+    int consumed = -1;
+    if (std::sscanf(entry.c_str(), "%d@%lf+%lf%n", &crash.host, &crash.at, &crash.duration,
+                    &consumed) != 3 ||
+        consumed != static_cast<int>(entry.size())) {
+      std::fprintf(stderr, "cannot parse --crash-schedule entry '%s' (want H@T+D)\n",
+                   entry.c_str());
+      return 2;
+    }
+    scheduled_crashes.push_back(crash);
+    begin = end + 1;
+  }
+  const int jobs = laar::ResolveJobs(flags.GetInt("jobs", 1));
+  flags.Finish();
+
   if (app_path.empty() || strategy_path.empty()) {
+    std::fprintf(stderr, "laar_simulate: --app and --strategy are required (see --help)\n");
+    return 2;
+  }
+  if (runtime.shards > 1 && runtime.link_latency_seconds <= 0.0) {
+    // A default here would silently change delivery semantics between
+    // --shards=1 (synchronous engine) and --shards=2 (windowed engine),
+    // making the two runs incomparable. The latency is the physical
+    // parameter; the shard count is only a wall-clock knob under it.
     std::fprintf(stderr,
-                 "usage: laar_simulate --app=app.json --strategy=strategy.json\n"
-                 "       [--hosts=N] [--capacity=C] [--trace-seconds=S]\n"
-                 "       [--high-fraction=F] [--cycles=N] [--worst-case]\n"
-                 "       [--crash-host=H --crash-at=T --crash-duration=16]\n"
-                 "       [--hosts-per-rack=N] [--racks-per-zone=N]\n"
-                 "       [--fail-domain=rack:R|zone:Z] [--crash-schedule=H@T+D,...]\n"
-                 "       [--placement=balanced|roundrobin|domain]\n"
-                 "       [--jobs=N] [--shards=N] [--link-latency=S]\n"
-                 "       [--rack-latency-factor=K] [--zone-latency-factor=K]\n"
-                 "       [--trace-out=run.json] [--trace-categories=a,b,...]\n"
-                 "       [--trace-capacity=N]\n"
-                 "       [--latency-sample-rate=R] [--latency-seed=S]\n"
-                 "       [--metrics-out=metrics.json] [--profile-out=profile.json]\n"
-                 "       [--timeseries-out=ts.csv|ts.json] [--telemetry-period=S]\n"
-                 "       [--health-out=health.json] [--alerts='RULE;RULE']\n"
-                 "       [--slo-latency-p99=S] [--slo-drop-rate=R]\n");
+                 "--shards=%d requires an explicit --link-latency: the shard "
+                 "count is byte-identical only at a fixed link latency "
+                 "(try --link-latency=0.005)\n",
+                 runtime.shards);
+    return 2;
+  }
+  if (sample_rate > 0.0 && runtime.link_latency_seconds > 0.0) {
+    std::fprintf(stderr,
+                 "--latency-sample-rate is incompatible with --link-latency/"
+                 "--shards: the causal tracer requires the synchronous engine\n");
     return 2;
   }
 
@@ -142,75 +256,18 @@ int main(int argc, char** argv) {
                  strategy.status().ToString().c_str());
     return 1;
   }
+  const auto deployment = laar::tools::BuildDeployment(*app, deployment_flags);
 
-  laar::model::Cluster cluster = laar::model::Cluster::Homogeneous(
-      flags.GetInt("hosts", 12), flags.GetDouble("capacity", 1e9));
-  const int hosts_per_rack = flags.GetInt("hosts-per-rack", 0);
-  const int racks_per_zone = flags.GetInt("racks-per-zone", 0);
-  if (hosts_per_rack > 0 || racks_per_zone > 0) {
-    cluster.set_topology(laar::model::FailureTopology::Uniform(
-        cluster.num_hosts(), hosts_per_rack, racks_per_zone));
-  }
-  auto rates = laar::model::ExpectedRates::Compute(app->graph, app->input_space);
-  if (!rates.ok()) {
-    std::fprintf(stderr, "rate analysis failed: %s\n", rates.status().ToString().c_str());
-    return 1;
-  }
-  const std::string placement_kind = flags.GetString("placement", "balanced");
-  auto placement =
-      placement_kind == "roundrobin"
-          ? laar::placement::PlaceRoundRobin(app->graph, cluster, 2)
-      : placement_kind == "domain"
-          ? laar::placement::PlaceDomainSpread(app->graph, app->input_space, *rates,
-                                               cluster, 2,
-                                               laar::model::DomainLevel::kRack)
-          : laar::placement::PlaceBalanced(app->graph, app->input_space, *rates, cluster,
-                                           2);
-  if (!placement.ok()) {
-    std::fprintf(stderr, "placement failed: %s\n",
-                 placement.status().ToString().c_str());
-    return 1;
-  }
-
-  auto trace = laar::runtime::MakeExperimentTrace(
-      app->input_space, flags.GetDouble("trace-seconds", 300.0),
-      flags.GetDouble("high-fraction", 1.0 / 3.0), flags.GetInt("cycles", 3));
+  auto trace = laar::runtime::MakeExperimentTrace(app->input_space, trace_seconds,
+                                                  high_fraction, cycles);
   if (!trace.ok()) {
     std::fprintf(stderr, "trace construction failed: %s\n",
                  trace.status().ToString().c_str());
     return 1;
   }
 
-  laar::dsps::RuntimeOptions runtime;
-  runtime.shards = flags.GetInt("shards", 1);
-  runtime.link_latency_seconds = flags.GetDouble("link-latency", 0.0);
-  runtime.rack_latency_factor = flags.GetInt("rack-latency-factor", 1);
-  runtime.zone_latency_factor = flags.GetInt("zone-latency-factor", 1);
-  if (runtime.shards > 1 && runtime.link_latency_seconds <= 0.0) {
-    // A default here would silently change delivery semantics between
-    // --shards=1 (synchronous engine) and --shards=2 (windowed engine),
-    // making the two runs incomparable. The latency is the physical
-    // parameter; the shard count is only a wall-clock knob under it.
-    std::fprintf(stderr,
-                 "--shards=%d requires an explicit --link-latency: the shard "
-                 "count is byte-identical only at a fixed link latency "
-                 "(try --link-latency=0.005)\n",
-                 runtime.shards);
-    return 2;
-  }
-  const std::string trace_out = flags.GetString("trace-out", "");
   std::optional<laar::obs::TraceRecorder> recorder;
   if (!trace_out.empty()) {
-    laar::obs::TraceRecorder::Options trace_options;
-    trace_options.capacity = static_cast<size_t>(
-        flags.GetUint64("trace-capacity", trace_options.capacity));
-    bool categories_ok = false;
-    trace_options.categories = laar::obs::ParseCategoryList(
-        flags.GetString("trace-categories", ""), &categories_ok);
-    if (!categories_ok) {
-      std::fprintf(stderr, "unknown name in --trace-categories\n");
-      return 2;
-    }
     recorder.emplace(trace_options);
     runtime.trace_recorder = &*recorder;
   }
@@ -219,41 +276,26 @@ int main(int argc, char** argv) {
   // aggregates, the trace_* latency percentiles, and the ts_* telemetry
   // series the health rules range over.
   laar::obs::MetricsRegistry registry;
-  const std::string metrics_out = flags.GetString("metrics-out", "");
-  const std::string timeseries_out = flags.GetString("timeseries-out", "");
-  const std::string health_out = flags.GetString("health-out", "");
-  const bool want_health = !health_out.empty() || flags.Has("alerts") ||
-                           flags.Has("slo-latency-p99") || flags.Has("slo-drop-rate");
   if (!timeseries_out.empty() || !metrics_out.empty() || want_health) {
     runtime.telemetry = &registry;
-    runtime.telemetry_period_seconds = flags.GetDouble("telemetry-period", 1.0);
   }
   std::optional<laar::obs::LatencyTracer> tracer;
-  const double sample_rate = flags.GetDouble("latency-sample-rate", 0.0);
-  if (sample_rate > 0.0 && runtime.link_latency_seconds > 0.0) {
-    std::fprintf(stderr,
-                 "--latency-sample-rate is incompatible with --link-latency/"
-                 "--shards: the causal tracer requires the synchronous engine\n");
-    return 2;
-  }
   if (sample_rate > 0.0) {
     laar::obs::LatencyTracer::Options tracer_options;
     tracer_options.sample_rate = sample_rate;
-    tracer_options.seed = flags.GetUint64("latency-seed", 1);
+    tracer_options.seed = latency_seed;
     tracer.emplace(tracer_options);
     runtime.latency_tracer = &*tracer;
   }
-  const std::string profile_out = flags.GetString("profile-out", "");
   std::optional<laar::obs::EngineProfiler> profiler;
   if (!profile_out.empty()) {
     profiler.emplace();
     runtime.profiler = &*profiler;
   }
-  laar::dsps::StreamSimulation simulation(*app, cluster, *placement, *strategy, *trace,
-                                          runtime);
-  const bool has_failures = flags.Has("worst-case") || flags.Has("crash-host") ||
-                            flags.Has("fail-domain") || flags.Has("crash-schedule");
-  if (flags.Has("worst-case")) {
+  laar::dsps::StreamSimulation simulation(*app, deployment.cluster, deployment.placement,
+                                          *strategy, *trace, runtime);
+  const bool has_failures = worst_case || crash_host || fail_domain || has_schedule;
+  if (worst_case) {
     const auto survivors = laar::runtime::ChooseWorstCaseSurvivors(
         app->graph, app->input_space, *strategy);
     for (laar::model::ComponentId pe : app->graph.Pes()) {
@@ -264,76 +306,30 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if (flags.Has("crash-host")) {
+  if (fail_domain) {
+    const laar::model::FailureTopology& topology = deployment.cluster.topology();
+    const std::vector<laar::model::HostId> hosts = topology.HostsInDomain(domain_level, domain);
+    if (hosts.empty()) {
+      std::fprintf(stderr, "--fail-domain: %s %d has no hosts (topology has %d)\n",
+                   laar::model::DomainLevelName(domain_level), domain,
+                   topology.NumDomains(domain_level));
+      return 2;
+    }
+    std::printf("fail-domain: %s %d -> hosts", laar::model::DomainLevelName(domain_level),
+                domain);
+    for (const laar::model::HostId host : hosts) {
+      std::printf(" %d", host);
+      crashes.push_back({host, crash_at, crash_duration});
+    }
+    std::printf("\n");
+  }
+  crashes.insert(crashes.end(), scheduled_crashes.begin(), scheduled_crashes.end());
+  for (const HostCrash& crash : crashes) {
     const laar::Status status = simulation.ScheduleHostCrash(
-        static_cast<laar::model::HostId>(flags.GetInt("crash-host", 0)),
-        flags.GetDouble("crash-at", 10.0), flags.GetDouble("crash-duration", 16.0));
+        static_cast<laar::model::HostId>(crash.host), crash.at, crash.duration);
     if (!status.ok()) {
       std::fprintf(stderr, "crash injection failed: %s\n", status.ToString().c_str());
       return 1;
-    }
-  }
-  if (flags.Has("fail-domain")) {
-    // "rack:R", "zone:Z", or a bare rack id.
-    const std::string spec = flags.GetString("fail-domain", "0");
-    laar::model::DomainLevel level = laar::model::DomainLevel::kRack;
-    std::string id_part = spec;
-    if (spec.rfind("rack:", 0) == 0) {
-      id_part = spec.substr(5);
-    } else if (spec.rfind("zone:", 0) == 0) {
-      level = laar::model::DomainLevel::kZone;
-      id_part = spec.substr(5);
-    }
-    int domain = -1;
-    if (std::sscanf(id_part.c_str(), "%d", &domain) != 1) {
-      std::fprintf(stderr, "cannot parse --fail-domain=%s\n", spec.c_str());
-      return 2;
-    }
-    const std::vector<laar::model::HostId> hosts =
-        cluster.topology().HostsInDomain(level, domain);
-    if (hosts.empty()) {
-      std::fprintf(stderr, "--fail-domain: %s %d has no hosts (topology has %d)\n",
-                   laar::model::DomainLevelName(level), domain,
-                   cluster.topology().NumDomains(level));
-      return 2;
-    }
-    for (const laar::model::HostId host : hosts) {
-      const laar::Status status = simulation.ScheduleHostCrash(
-          host, flags.GetDouble("crash-at", 10.0),
-          flags.GetDouble("crash-duration", 16.0));
-      if (!status.ok()) {
-        std::fprintf(stderr, "crash injection failed: %s\n", status.ToString().c_str());
-        return 1;
-      }
-    }
-    std::printf("fail-domain: %s %d -> hosts", laar::model::DomainLevelName(level),
-                domain);
-    for (const laar::model::HostId host : hosts) std::printf(" %d", host);
-    std::printf("\n");
-  }
-  if (flags.Has("crash-schedule")) {
-    // Comma-separated `H@T+D` entries; overlapping windows are legal and
-    // merge inside the simulation.
-    const std::string schedule = flags.GetString("crash-schedule", "");
-    size_t begin = 0;
-    while (begin < schedule.size()) {
-      size_t end = schedule.find(',', begin);
-      if (end == std::string::npos) end = schedule.size();
-      const std::string entry = schedule.substr(begin, end - begin);
-      int host = -1;
-      double at = 0.0, duration = 0.0;
-      if (std::sscanf(entry.c_str(), "%d@%lf+%lf", &host, &at, &duration) != 3) {
-        std::fprintf(stderr, "cannot parse --crash-schedule entry '%s' (want H@T+D)\n",
-                     entry.c_str());
-        return 2;
-      }
-      const laar::Status status = simulation.ScheduleHostCrash(
-          static_cast<laar::model::HostId>(host), at, duration);
-      if (!status.ok()) {
-        std::fprintf(stderr, "crash injection failed: %s\n", status.ToString().c_str());
-        return 1;
-      }
-      begin = end + 1;
     }
   }
 
@@ -349,7 +345,8 @@ int main(int argc, char** argv) {
     reference_runtime.latency_tracer = nullptr;
     reference_runtime.telemetry = nullptr;
     reference_runtime.profiler = nullptr;
-    reference.emplace(*app, cluster, *placement, *strategy, *trace, reference_runtime);
+    reference.emplace(*app, deployment.cluster, deployment.placement, *strategy, *trace,
+                      reference_runtime);
   }
   laar::Status status = laar::Status::OK();
   laar::Status reference_status = laar::Status::OK();
@@ -361,7 +358,6 @@ int main(int argc, char** argv) {
     }
   };
   const size_t num_runs = reference.has_value() ? 2 : 1;
-  const int jobs = laar::ResolveJobs(flags.GetInt("jobs", 1));
   if (jobs > 1 && num_runs > 1) {
     laar::ThreadPool pool(std::min(static_cast<size_t>(jobs), num_runs));
     pool.ParallelFor(num_runs, run_one);
@@ -396,8 +392,7 @@ int main(int argc, char** argv) {
   std::printf("tuples processed    %10llu\n",
               static_cast<unsigned long long>(m.TotalProcessed()));
   std::printf("CPU consumed        %10.2f core-s (at %.3g cycles/s)\n",
-              m.TotalCpuCycles() / flags.GetDouble("capacity", 1e9),
-              flags.GetDouble("capacity", 1e9));
+              m.TotalCpuCycles() / deployment_flags.capacity, deployment_flags.capacity);
   if (m.sink_latency.count() > 0) {
     std::printf("sink latency        p50=%.3fs p95=%.3fs p99=%.3fs max=%.3fs\n",
                 m.sink_latency.Percentile(50), m.sink_latency.Percentile(95),
@@ -429,7 +424,7 @@ int main(int argc, char** argv) {
   // The capture strips `--jobs` and output paths, keeping artifacts
   // byte-identical across parallelism and output locations.
   const laar::obs::RunInfo run_info = laar::obs::RunInfo::Capture(
-      "laar_simulate", flags.GetUint64("latency-seed", 1), argc, argv);
+      "laar_simulate", latency_seed, argc, argv);
 
   if (profiler.has_value()) {
     const laar::obs::EngineProfile& profile = profiler->profile();
@@ -503,34 +498,6 @@ int main(int argc, char** argv) {
 
   bool healthy = true;
   if (want_health) {
-    std::vector<laar::obs::AlertRule> rules;
-    auto parsed = laar::obs::ParseAlertRules(flags.GetString("alerts", ""));
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
-      return 2;
-    }
-    rules = std::move(parsed).value();
-    if (flags.Has("slo-latency-p99")) {
-      auto slo = laar::obs::ParseAlertRule(
-          laar::StrFormat("slo_latency_p99: sim_sink_latency_p99_seconds > %.17g crit",
-                          flags.GetDouble("slo-latency-p99", 1.0)));
-      rules.push_back(std::move(slo).value());
-    }
-    if (flags.Has("slo-drop-rate")) {
-      auto slo = laar::obs::ParseAlertRule(
-          laar::StrFormat("slo_drop_rate: ts_drop_rate > %.17g crit",
-                          flags.GetDouble("slo-drop-rate", 0.0)));
-      rules.push_back(std::move(slo).value());
-    }
-    if (rules.empty()) {
-      // Default watchdogs so --health-out alone yields a useful report:
-      // any drops, or a host pinned near saturation, are worth a warning.
-      rules.push_back(
-          laar::obs::ParseAlertRule("drops: ts_drop_rate > 0 warn").value());
-      rules.push_back(
-          laar::obs::ParseAlertRule("saturation: ts_host_cpu_util > 0.99 for 5 warn")
-              .value());
-    }
     const laar::obs::HealthReport report = laar::obs::EvaluateHealth(registry, rules);
     healthy = report.healthy;
     std::printf("%s", report.ToString().c_str());

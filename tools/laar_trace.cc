@@ -2,19 +2,13 @@
 // `laar_simulate --trace-out` (or the corpus runner's per-experiment
 // traces).
 //
-// Usage:
-//   laar_trace summarize --in=run.json            # also the default
-//   laar_trace validate --in=run.json             # schema check, exit 0/1
-//   laar_trace filter --in=run.json --filter=drops,failures --out=small.json
-//   laar_trace timeseries --in=run.json [--bucket=S] [--out=series.csv]
-//   laar_trace explain --in=run.json [--out=forensics.json]
-//   laar_trace profile --in=profile.json [--aggregate-out=agg.json]
-//                      [--imbalance-threshold=1.5]
-//   laar_trace diff runA.json runB.json [--out=diff.json]
-//                   (--a=runA.json --b=runB.json also accepted)
+// The subcommand is the first argument that is not a flag, wherever it
+// stands: summarize (the default), validate, filter, timeseries, explain,
+// profile or diff. All but diff read --in; `--help` lists the flags.
 //
-// The subcommand word is optional for the first three (legacy flag-driven
-// invocations keep working: --validate, --filter imply their subcommands).
+// `summarize` prints the event counts by category, name and process and the
+// time span; `validate` checks the Chrome trace schema and exits 1 on a
+// violation.
 //
 // `filter` keeps metadata records plus the events of the named categories
 // ({drops, queues, activation, failures, config, spans, engine, tuples,
@@ -41,7 +35,7 @@
 // measured phases. --aggregate-out writes the shards-invariant
 // deterministic aggregate — the section CI `cmp`s across --shards counts.
 //
-// `diff` compares two `--metrics-out` artifacts (counters, gauges,
+// `diff A B` compares two `--metrics-out` artifacts (counters, gauges,
 // histograms, timeseries, loss ledgers) and prints per-entry deltas plus a
 // one-line verdict; the stamped run metadata flags incomparable workloads.
 // Engine-profile documents diff too: deterministic prof counters join the
@@ -115,41 +109,37 @@ std::string TimeSeriesCsvFromTrace(const laar::json::Value& trace, double bucket
 
 int main(int argc, char** argv) {
   laar::Flags flags(argc, argv);
-  // Optional positional subcommand (the flags parser ignores non-`--` argv).
-  std::string command = "summarize";
-  if (argc > 1 && argv[1][0] != '-') command = argv[1];
-  if (flags.Has("validate")) command = "validate";
-  if (flags.Has("filter")) command = "filter";
+  const std::string in_path = flags.GetString("in", "");
+  const std::string out_path = flags.GetString("out", "");
+  const std::string filter = flags.GetString("filter", "");
+  const double bucket_seconds = flags.GetDouble("bucket", 0.0);
+  const std::string aggregate_out = flags.GetString("aggregate-out", "");
+  const double threshold = flags.GetDouble("imbalance-threshold", 1.5);
+  const std::vector<std::string>& args = flags.positional();
+  flags.Finish();
 
-  const auto usage = [] {
-    std::fprintf(stderr,
-                 "usage: laar_trace [summarize|validate|timeseries|explain] --in=run.json\n"
-                 "       laar_trace filter --in=run.json --filter=cat1,cat2,...\n"
-                 "                  --out=filtered.json\n"
-                 "       laar_trace timeseries --in=run.json [--bucket=S]\n"
-                 "                  [--out=series.csv]\n"
-                 "       laar_trace explain --in=run.json [--out=forensics.json]\n"
-                 "       laar_trace profile --in=profile.json [--aggregate-out=agg.json]\n"
-                 "                  [--imbalance-threshold=1.5]\n"
-                 "       laar_trace diff runA.json runB.json [--out=diff.json]\n"
-                 "                  (or --a=runA.json --b=runB.json)\n");
+  const char* const kCommands[] = {"summarize", "validate", "filter", "timeseries",
+                                   "explain", "profile", "diff"};
+  const std::string command = args.empty() ? "summarize" : args[0];
+  if (std::find(std::begin(kCommands), std::end(kCommands), command) == std::end(kCommands)) {
+    std::fprintf(stderr, "unknown subcommand '%s' (want summarize, validate, filter, "
+                 "timeseries, explain, profile or diff)\n", command.c_str());
     return 2;
-  };
+  }
+  // diff takes two runs after it, the others nothing; summarize may be omitted.
+  const size_t num_args = command == "diff" ? 3 : std::min<size_t>(args.size(), 1);
+  if (args.size() != num_args) {
+    std::fprintf(stderr, "laar_trace %s takes %zu argument(s) after it, got %zu\n",
+                 command.c_str(), num_args - 1, args.size() - 1);
+    return 2;
+  }
 
   if (command == "diff") {
-    // The two run artifacts are positional (the flags parser ignores them).
-    std::vector<std::string> inputs;
-    for (int i = 2; i < argc; ++i) {
-      if (argv[i][0] != '-') inputs.emplace_back(argv[i]);
-    }
-    if (flags.Has("a")) inputs.insert(inputs.begin(), flags.GetString("a", ""));
-    if (flags.Has("b")) inputs.push_back(flags.GetString("b", ""));
-    if (inputs.size() != 2) return usage();
     laar::json::Value runs[2];
     for (size_t i = 0; i < 2; ++i) {
-      auto parsed = laar::json::ParseFile(inputs[i]);
+      auto parsed = laar::json::ParseFile(args[i + 1]);
       if (!parsed.ok()) {
-        std::fprintf(stderr, "cannot load %s: %s\n", inputs[i].c_str(),
+        std::fprintf(stderr, "cannot load %s: %s\n", args[i + 1].c_str(),
                      parsed.status().ToString().c_str());
         return 1;
       }
@@ -160,9 +150,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "diff failed: %s\n", report.status().ToString().c_str());
       return 1;
     }
-    std::printf("A: %s\nB: %s\n%s", inputs[0].c_str(), inputs[1].c_str(),
+    std::printf("A: %s\nB: %s\n%s", args[1].c_str(), args[2].c_str(),
                 report->ToString().c_str());
-    const std::string out_path = flags.GetString("out", "");
     if (!out_path.empty()) {
       const laar::Status status = laar::json::WriteFile(report->ToJson(), out_path);
       if (!status.ok()) {
@@ -174,11 +163,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const std::string in_path = flags.GetString("in", "");
-  if (in_path.empty() || (command != "summarize" && command != "validate" &&
-                          command != "filter" && command != "timeseries" &&
-                          command != "explain" && command != "profile")) {
-    return usage();
+  if (in_path.empty()) {
+    std::fprintf(stderr, "laar_trace %s: --in is required (see --help)\n", command.c_str());
+    return 2;
+  }
+  if (command == "filter" && out_path.empty()) {
+    std::fprintf(stderr, "filter requires --out=FILE\n");
+    return 2;
   }
 
   auto trace = laar::json::ParseFile(in_path);
@@ -199,13 +190,8 @@ int main(int argc, char** argv) {
   }
 
   if (command == "filter") {
-    const std::string out_path = flags.GetString("out", "");
-    if (out_path.empty()) {
-      std::fprintf(stderr, "--filter requires --out=FILE\n");
-      return 2;
-    }
     uint32_t mask = 0;
-    for (const std::string& name : laar::StrSplit(flags.GetString("filter", ""), ',')) {
+    for (const std::string& name : laar::StrSplit(filter, ',')) {
       const uint32_t bit = laar::obs::CategoryBitFromName(name.c_str());
       if (bit == 0) {
         std::fprintf(stderr, "unknown trace category '%s'\n", name.c_str());
@@ -234,7 +220,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("%s", report->ToString().c_str());
-    const std::string out_path = flags.GetString("out", "");
     if (!out_path.empty()) {
       const laar::Status status = laar::json::WriteFile(report->ToJson(), out_path);
       if (!status.ok()) {
@@ -297,7 +282,6 @@ int main(int argc, char** argv) {
 
     // Per-shard breakdown: deterministic event share next to the measured
     // execute/stall split. Hot shards get flagged against the ideal share.
-    const double threshold = flags.GetDouble("imbalance-threshold", 1.5);
     const uint64_t shard_total = profile.ShardEventTotal();
     std::printf("  %-6s %12s %7s %12s %12s %6s\n", "shard", "events",
                 "share", "execute_ms", "stall_ms", "util");
@@ -362,7 +346,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(shard_total),
                 static_cast<unsigned long long>(profile.engine_events));
 
-    const std::string aggregate_out = flags.GetString("aggregate-out", "");
     if (!aggregate_out.empty()) {
       const laar::Status status = laar::json::WriteFile(
           profile.DeterministicAggregateJson(), aggregate_out);
@@ -376,9 +359,7 @@ int main(int argc, char** argv) {
   }
 
   if (command == "timeseries") {
-    const std::string csv =
-        TimeSeriesCsvFromTrace(*trace, flags.GetDouble("bucket", 0.0));
-    const std::string out_path = flags.GetString("out", "");
+    const std::string csv = TimeSeriesCsvFromTrace(*trace, bucket_seconds);
     if (out_path.empty()) {
       std::printf("%s", csv.c_str());
       return 0;

@@ -79,10 +79,10 @@ if(NOT EXISTS ${TRACE_JSON})
 endif()
 
 execute_process(
-  COMMAND ${TRACE} --in=${TRACE_JSON} --validate
+  COMMAND ${TRACE} validate --in=${TRACE_JSON}
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "laar_trace --validate rejected the trace with ${rc}")
+  message(FATAL_ERROR "laar_trace validate rejected the trace with ${rc}")
 endif()
 
 execute_process(
@@ -97,14 +97,14 @@ if(NOT summary_out MATCHES "events")
 endif()
 
 execute_process(
-  COMMAND ${TRACE} --in=${TRACE_JSON} --filter=failures,activation
+  COMMAND ${TRACE} filter --in=${TRACE_JSON} --filter=failures,activation
           --out=${TRACE_FILTERED}
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "laar_trace --filter failed with ${rc}")
+  message(FATAL_ERROR "laar_trace filter failed with ${rc}")
 endif()
 execute_process(
-  COMMAND ${TRACE} --in=${TRACE_FILTERED} --validate
+  COMMAND ${TRACE} validate --in=${TRACE_FILTERED}
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "filtered trace is not valid Chrome trace JSON (${rc})")

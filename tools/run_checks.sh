@@ -6,8 +6,7 @@
 # 1. configures + builds the default tree (-Wall -Wextra -Werror),
 # 2. runs the full ctest suite,
 # 3. verifies no generated artifacts are tracked by git,
-# 4. verifies every CLI flag a tool reads is documented in its help text,
-# 5. smoke-tests the CLI pipeline end to end (generate -> solve ->
+# 4. smoke-tests the CLI pipeline end to end (generate -> solve ->
 #    simulate with a correlated rack outage and an explicit overlapping
 #    crash schedule), requires a node-budgeted solve to write the same
 #    strategy with and without the live progress stream, then the
@@ -15,12 +14,12 @@
 #    validate + explain the trace, diff the two placements, and require
 #    the artifacts to be byte-identical across --jobs and across
 #    --shards=1/4 at a fixed --link-latency (the sharded-engine contract),
-# 6. engine-profile smoke: profiled sharded runs at --shards=1/4 must
+# 5. engine-profile smoke: profiled sharded runs at --shards=1/4 must
 #    summarize cleanly (`laar_trace profile` validates the event closure),
 #    their deterministic aggregates and profiled metrics must be
 #    byte-identical across shard counts, and profiling must not perturb
-#    the hashed artifacts of step 5,
-# 7. rebuilds the concurrency-sensitive tests (thread pool, parallel
+#    the hashed artifacts of step 4,
+# 6. rebuilds the concurrency-sensitive tests (thread pool, parallel
 #    corpus + observability publishing, sharded DES engine) under
 #    ThreadSanitizer and runs them, plus the two --jobs-invariance cases
 #    of corpus_test (its simulation tasks write into shared records from
@@ -35,20 +34,17 @@ BUILD_DIR="${1:-build}"
 TSAN_DIR="${BUILD_DIR}-tsan"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-echo "== [1/7] build (${BUILD_DIR}) =="
+echo "== [1/6] build (${BUILD_DIR}) =="
 cmake -B "$BUILD_DIR" -S . >/dev/null
 cmake --build "$BUILD_DIR" -j "$JOBS"
 
-echo "== [2/7] ctest =="
+echo "== [2/6] ctest =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure
 
-echo "== [3/7] tracked-artifact check =="
+echo "== [3/6] tracked-artifact check =="
 sh tools/check_no_tracked_artifacts.sh
 
-echo "== [4/7] help-drift check =="
-sh tools/check_help_drift.sh
-
-echo "== [5/7] CLI smoke: generate -> solve -> simulate (domain outage + crash schedule) =="
+echo "== [4/6] CLI smoke: generate -> solve -> simulate (domain outage + crash schedule) =="
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 "./$BUILD_DIR/tools/laar_generate" --seed=7 --out="$SMOKE_DIR/app.json" >/dev/null
@@ -112,7 +108,7 @@ sharded_sim --shards=4 \
 cmp "$SMOKE_DIR/domain.s1.trace.json" "$SMOKE_DIR/domain.s4.trace.json"
 cmp "$SMOKE_DIR/domain.s1.metrics.json" "$SMOKE_DIR/domain.s4.metrics.json"
 
-echo "== [6/7] engine-profile smoke (--profile-out + laar_trace profile) =="
+echo "== [5/6] engine-profile smoke (--profile-out + laar_trace profile) =="
 # Profiled runs at two shard counts. `laar_trace profile` re-validates the
 # event closure (exit 1 on mismatch) and extracts the deterministic
 # aggregate, which must be byte-identical across shard counts — as must the
@@ -142,7 +138,7 @@ sharded_sim --shards=4 \
 "./$BUILD_DIR/tools/laar_trace" diff "$SMOKE_DIR/profile.s1.json" \
     "$SMOKE_DIR/profile.s4.json" >/dev/null
 
-echo "== [7/7] TSan: exec_test + obs_test + sharded_sim_test + corpus_test (${TSAN_DIR}) =="
+echo "== [6/6] TSan: exec_test + obs_test + sharded_sim_test + corpus_test (${TSAN_DIR}) =="
 cmake -B "$TSAN_DIR" -S . -DLAAR_SANITIZE=thread >/dev/null
 cmake --build "$TSAN_DIR" -j "$JOBS" --target exec_test obs_test sharded_sim_test corpus_test
 ctest --test-dir "$TSAN_DIR" -R 'exec_test|obs_test|sharded_sim_test' --output-on-failure
