@@ -17,9 +17,11 @@
 
 namespace laar::bench {
 
-/// Shared configuration of the §5.3 cluster-experiment benches (Fig. 9-12)
-/// from their common flags (`--help` lists them; EXPERIMENTS.md gives the
-/// paper's values). --crash also runs the host-crash scenario.
+/// Shared configuration of the §5.3 cluster experiments (Figs. 9-12) and of
+/// ext_latency, ext_shedding and ext_checkpoint, from their common flags
+/// (`--help` lists them; EXPERIMENTS.md gives the paper's values). Runs the
+/// best and the worst case; a caller that needs the host crash sets
+/// `run_host_crash` itself.
 inline runtime::HarnessOptions HarnessFromFlags(const Flags& flags) {
   runtime::HarnessOptions options;
   options.generator.num_pes = flags.GetInt("pes", 24);
@@ -41,7 +43,6 @@ inline runtime::HarnessOptions HarnessFromFlags(const Flags& flags) {
   options.trace_seconds = flags.GetDouble("trace-seconds", 120.0);
   options.trace_cycles = flags.GetInt("trace-cycles", 3);
   options.run_worst_case = true;
-  options.run_host_crash = flags.Has("crash");
   return options;
 }
 
@@ -51,15 +52,13 @@ inline runtime::HarnessOptions HarnessFromFlags(const Flags& flags) {
 /// `runtime::RunCorpus`. A failed run (a simulation or trace-write error)
 /// is reported and exits the process with status 1. Creates `trace_dir`.
 inline std::vector<runtime::AppExperimentRecord> RunExperimentCorpus(
-    const runtime::HarnessOptions& options, int num_apps, uint64_t seed_base,
-    bool verbose = true, int jobs = 1) {
+    const runtime::HarnessOptions& options, int num_apps, uint64_t seed_base, int jobs) {
   std::error_code ec;
   if (!options.trace_dir.empty()) std::filesystem::create_directories(options.trace_dir, ec);
   runtime::CorpusOptions corpus;
   corpus.num_apps = num_apps;
   corpus.seed_base = seed_base;
   corpus.jobs = jobs;
-  corpus.verbose = verbose;
   runtime::CorpusResult result = runtime::RunCorpus(options, corpus);
   if (!result.status.ok()) {
     std::fprintf(stderr, "corpus run failed: %s\n", result.status.ToString().c_str());
@@ -68,7 +67,7 @@ inline std::vector<runtime::AppExperimentRecord> RunExperimentCorpus(
   return std::move(result.records);
 }
 
-/// Opt-in observability for the corpus benches, from shared flags.
+/// Opt-in observability for the Figs. 9-12 corpus, from its flags.
 /// --trace-dir writes one Chrome trace per (seed, variant, scenario)
 /// simulation into a directory it creates, keeping --trace-categories in a
 /// ring of --trace-capacity events. --metrics-out writes the corpus JSON
@@ -77,7 +76,7 @@ inline std::vector<runtime::AppExperimentRecord> RunExperimentCorpus(
 /// per-tuple latency into trace_* percentile gauges. An unknown trace
 /// category exits 2.
 ///
-/// The registry always collects (it is cheap and gives every bench the
+/// The registry always collects (it is cheap and gives the bench its
 /// one-line aggregate summary); traces, telemetry series, latency sampling
 /// and the JSON dump are opt-in. The constructor reads the flags into
 /// `options`; the instance must outlive the corpus run `options` drives.

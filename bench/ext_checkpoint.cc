@@ -57,24 +57,20 @@ int main(int argc, char** argv) {
 
   const auto probe = [&options,
                       overhead](uint64_t seed) -> std::optional<std::vector<VariantRow>> {
-    auto app = laar::appgen::GenerateApplication(options.generator, seed);
-    if (!app.ok()) return std::nullopt;
-    auto variants = laar::runtime::BuildVariants(*app, options.variants);
-    if (!variants.ok()) return std::nullopt;
-    auto trace = laar::runtime::MakeExperimentTrace(
-        app->descriptor.input_space, options.trace_seconds, options.high_fraction,
-        options.trace_cycles);
-    if (!trace.ok()) return std::nullopt;
+    auto prepared = laar::runtime::PrepareExperiment(options, seed);
+    if (!prepared.ok()) return std::nullopt;
+    const auto& app = prepared->app;
+    const auto& trace = prepared->trace;
 
     // The CKPT deployment: the NR activation pattern on a descriptor whose
     // CPU costs carry the checkpointing overhead.
-    auto ckpt_descriptor = laar::model::ScaleCpuCosts(app->descriptor, 1.0 + overhead);
+    auto ckpt_descriptor = laar::model::ScaleCpuCosts(app.descriptor, 1.0 + overhead);
     ckpt_descriptor.status().CheckOK();
-    laar::appgen::GeneratedApplication ckpt_app = *app;
+    laar::appgen::GeneratedApplication ckpt_app = app;
     ckpt_app.descriptor = std::move(*ckpt_descriptor);
 
     const laar::runtime::NamedVariant* nr = nullptr;
-    for (const auto& v : *variants) {
+    for (const auto& v : prepared->variants) {
       if (v.name == "NR") nr = &v;
     }
 
@@ -82,7 +78,7 @@ int main(int argc, char** argv) {
     // Reference: failure-free NR.
     laar::runtime::ScenarioOptions none;
     auto reference =
-        laar::runtime::RunScenario(*app, nr->strategy, *trace, options.runtime, none);
+        laar::runtime::RunScenario(app, nr->strategy, trace, options.runtime, none);
     if (!reference.ok() || reference->TotalProcessed() == 0) return rows;
     const double nr_cycles = reference->TotalCpuCycles();
     const double denominator = static_cast<double>(reference->TotalProcessed());
@@ -91,20 +87,20 @@ int main(int argc, char** argv) {
     crash.scenario = laar::runtime::FailureScenario::kHostCrash;
     crash.seed = seed;
 
-    for (const auto& variant : *variants) {
-      auto best = laar::runtime::RunScenario(*app, variant.strategy, *trace,
-                                             options.runtime, none);
-      auto crashed = laar::runtime::RunScenario(*app, variant.strategy, *trace,
-                                                options.runtime, crash);
+    for (const auto& variant : prepared->variants) {
+      auto best =
+          laar::runtime::RunScenario(app, variant.strategy, trace, options.runtime, none);
+      auto crashed =
+          laar::runtime::RunScenario(app, variant.strategy, trace, options.runtime, crash);
       if (!best.ok() || !crashed.ok()) continue;
       rows.push_back({variant.name, best->TotalCpuCycles() / nr_cycles,
                       static_cast<double>(crashed->TotalProcessed()) / denominator});
     }
     // CKPT runs against the overhead-inflated descriptor.
-    auto ckpt_best = laar::runtime::RunScenario(ckpt_app, nr->strategy, *trace,
-                                                options.runtime, none);
-    auto ckpt_crash = laar::runtime::RunScenario(ckpt_app, nr->strategy, *trace,
-                                                 options.runtime, crash);
+    auto ckpt_best =
+        laar::runtime::RunScenario(ckpt_app, nr->strategy, trace, options.runtime, none);
+    auto ckpt_crash =
+        laar::runtime::RunScenario(ckpt_app, nr->strategy, trace, options.runtime, crash);
     if (ckpt_best.ok() && ckpt_crash.ok()) {
       rows.push_back({"CKPT", ckpt_best->TotalCpuCycles() / nr_cycles,
                       static_cast<double>(ckpt_crash->TotalProcessed()) / denominator});
@@ -125,8 +121,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("\nmeans over %d applications (checkpoint overhead %.0f%%):\n", num_apps,
-              overhead * 100.0);
+  std::printf("\nmeans over %zu applications (checkpoint overhead %.0f%%):\n",
+              kept.size(), overhead * 100.0);
   std::printf("%-8s %12s %16s\n", "variant", "cost/NR", "crash IC");
   std::vector<const char*> order = {"NR", "CKPT", "SR", "GRD", "L.5", "L.6", "L.7"};
   for (const char* name : order) {

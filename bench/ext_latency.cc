@@ -18,7 +18,6 @@
 #include "laar/common/stats.h"
 #include "laar/exec/parallel.h"
 #include "laar/runtime/experiment.h"
-#include "laar/runtime/variants.h"
 
 namespace {
 
@@ -48,19 +47,13 @@ int main(int argc, char** argv) {
   std::map<std::string, laar::SampleStats> max_latency;
 
   const auto probe = [&options](uint64_t seed) -> std::optional<std::vector<LatencyRow>> {
-    auto app = laar::appgen::GenerateApplication(options.generator, seed);
-    if (!app.ok()) return std::nullopt;
-    auto variants = laar::runtime::BuildVariants(*app, options.variants);
-    if (!variants.ok()) return std::nullopt;
-    auto trace = laar::runtime::MakeExperimentTrace(
-        app->descriptor.input_space, options.trace_seconds, options.high_fraction,
-        options.trace_cycles);
-    if (!trace.ok()) return std::nullopt;
+    auto prepared = laar::runtime::PrepareExperiment(options, seed);
+    if (!prepared.ok()) return std::nullopt;
     std::vector<LatencyRow> rows;
-    for (const auto& variant : *variants) {
+    for (const auto& variant : prepared->variants) {
       laar::runtime::ScenarioOptions scenario;  // best case
-      auto metrics = laar::runtime::RunScenario(*app, variant.strategy, *trace,
-                                                options.runtime, scenario);
+      auto metrics = laar::runtime::RunScenario(prepared->app, variant.strategy,
+                                                prepared->trace, options.runtime, scenario);
       if (!metrics.ok() || metrics->sink_latency.count() == 0) continue;
       rows.push_back({variant.name, metrics->sink_latency.Percentile(50),
                       metrics->sink_latency.Percentile(99), metrics->sink_latency.max()});
@@ -82,7 +75,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("\nmean over %d applications (seconds):\n", num_apps);
+  std::printf("\nmean over %zu applications (seconds):\n", kept.size());
   std::printf("%-8s %10s %10s %10s\n", "variant", "p50", "p99", "max");
   for (const char* name : laar::bench::VariantOrder()) {
     std::printf("%-8s %10.3f %10.3f %10.3f\n", name, p50[name].mean(), p99[name].mean(),

@@ -54,19 +54,15 @@ int main(int argc, char** argv) {
 
   const auto probe = [&options, shed_threshold](
                          uint64_t seed) -> std::optional<std::vector<SetupRow>> {
-    auto app = laar::appgen::GenerateApplication(options.generator, seed);
-    if (!app.ok()) return std::nullopt;
-    auto variants = laar::runtime::BuildVariants(*app, options.variants);
-    if (!variants.ok()) return std::nullopt;
-    auto trace = laar::runtime::MakeExperimentTrace(
-        app->descriptor.input_space, options.trace_seconds, options.high_fraction,
-        options.trace_cycles);
-    if (!trace.ok()) return std::nullopt;
+    auto prepared = laar::runtime::PrepareExperiment(options, seed);
+    if (!prepared.ok()) return std::nullopt;
+    const auto& app = prepared->app;
+    const auto& trace = prepared->trace;
 
     const laar::runtime::NamedVariant* nr = nullptr;
     const laar::runtime::NamedVariant* sr = nullptr;
     const laar::runtime::NamedVariant* l6 = nullptr;
-    for (const auto& v : *variants) {
+    for (const auto& v : prepared->variants) {
       if (v.name == "NR") nr = &v;
       if (v.name == "SR") sr = &v;
       if (v.name == "L.6") l6 = &v;
@@ -74,7 +70,7 @@ int main(int argc, char** argv) {
     std::vector<SetupRow> out;
     laar::runtime::ScenarioOptions none;
     auto reference =
-        laar::runtime::RunScenario(*app, nr->strategy, *trace, options.runtime, none);
+        laar::runtime::RunScenario(app, nr->strategy, trace, options.runtime, none);
     if (!reference.ok() || reference->sink_tuples == 0) return out;
     const double nr_peak = static_cast<double>(reference->sink_tuples);
 
@@ -92,7 +88,7 @@ int main(int argc, char** argv) {
       runtime.enable_load_shedding = setup.shedding;
       runtime.shed_threshold = shed_threshold;
       auto metrics =
-          laar::runtime::RunScenario(*app, *setup.strategy, *trace, runtime, none);
+          laar::runtime::RunScenario(app, *setup.strategy, trace, runtime, none);
       if (!metrics.ok()) continue;
       SetupRow row;
       row.label = setup.label;
@@ -125,7 +121,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("\nmeans over %d applications:\n", num_apps);
+  std::printf("\nmeans over %zu applications:\n", kept.size());
   std::printf("%-10s %14s %14s %14s\n", "setup", "loss fraction", "p99 latency",
               "output vs NR");
   for (const char* label : {"SR+queues", "SR+shed", "LAAR L.6"}) {

@@ -127,6 +127,14 @@ Result<GeneratedApplication> TryGenerate(const GeneratorOptions& options, Rng* r
       LAAR_RETURN_IF_ERROR(graph.AddEdge(pe, sink, 1.0, 0.0));
     }
   }
+  // Every source without a successor feeds a random PE, so all input enters
+  // the graph (few PEs per source can leave one unpicked by the draws above).
+  for (model::ComponentId source : sources) {
+    if (graph.OutgoingEdges(source).empty()) {
+      LAAR_RETURN_IF_ERROR(add_pe_edge(
+          source, pes[static_cast<size_t>(rng->UniformInt(0, options.num_pes - 1))]));
+    }
+  }
   LAAR_RETURN_IF_ERROR(graph.Validate());
 
   // --- Source rates: two levels, both U(rate_min, rate_max), Low < High. ---

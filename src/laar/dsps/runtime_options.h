@@ -22,26 +22,12 @@ struct RuntimeOptions {
   /// arrival rate of their port (§5.2); overflowing tuples are dropped.
   double queue_seconds = 2.0;
 
-  /// Queue capacity floor in tuples, so very slow ports still buffer.
-  size_t min_queue_capacity = 4;
-
-  /// Rate Monitor measurement window / reporting period (§4.6).
-  double monitor_period_seconds = 1.0;
-
   /// Tuples subtracted from each window count before the dominating-config
   /// lookup. Counting tuples over a finite window quantizes the measured
   /// rate to ±1 tuple/window; without this allowance a source running
   /// exactly at a configuration's rate intermittently measures one tuple
   /// high and the controller flaps to the next configuration up.
   double monitor_tolerance_tuples = 1.0;
-
-  /// Delay between the HAController deciding a replica-set change and the
-  /// activation/deactivation commands taking effect at the proxies.
-  double control_latency_seconds = 0.1;
-
-  /// Time for heartbeat-based failure detection and primary takeover by an
-  /// already-active secondary.
-  double failover_latency_seconds = 1.0;
 
   /// State re-synchronization pause when a replica is (re)activated (§4.6).
   double resync_latency_seconds = 0.5;
@@ -50,9 +36,6 @@ struct RuntimeOptions {
   /// Off, the strategy of the initial configuration stays applied (static
   /// variants behave identically either way).
   bool dynamic_control = true;
-
-  /// Width of every recorded time series bucket.
-  double timeseries_bucket_seconds = 1.0;
 
   /// Record per-replica CPU time series (Fig. 3-style plots); costs memory
   /// proportional to replicas × buckets.
@@ -79,11 +62,6 @@ struct RuntimeOptions {
   /// simulation and must not be shared between concurrent simulations.
   obs::TraceRecorder* trace_recorder = nullptr;
 
-  /// A port's queue-high event fires when its occupancy crosses this
-  /// fraction of capacity upward; it re-arms once occupancy falls back to
-  /// half the watermark.
-  double queue_watermark_fraction = 0.9;
-
   /// Sampled per-tuple causal tracing (see obs/latency_tracer.h). Null (the
   /// default) disables it at the cost of one pointer check per tuple step;
   /// a tracer whose sample rate is 0 is equally inert. Like the trace
@@ -98,9 +76,6 @@ struct RuntimeOptions {
 
   /// Sim-time interval between telemetry snapshots.
   double telemetry_period_seconds = 1.0;
-
-  /// Ring capacity of each telemetry series (oldest samples evicted).
-  size_t telemetry_capacity = 1u << 12;
 
   /// Labels attached to every telemetry series — how corpus workers keep
   /// their series disjoint (one writer per label set) in a shared registry.

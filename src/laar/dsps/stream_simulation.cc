@@ -22,6 +22,31 @@ namespace {
 /// processor-sharing integration).
 constexpr double kCompletionSlackSeconds = 1e-9;
 
+/// Queue capacity floor in tuples, so very slow ports still buffer.
+constexpr size_t kMinQueueCapacity = 4;
+
+/// Rate Monitor measurement window / reporting period (§4.6).
+constexpr double kMonitorPeriodSeconds = 1.0;
+
+/// Delay between the HAController deciding a replica-set change and the
+/// activation/deactivation commands taking effect at the proxies.
+constexpr double kControlLatencySeconds = 0.1;
+
+/// Time for heartbeat-based failure detection and primary takeover by an
+/// already-active secondary.
+constexpr double kFailoverLatencySeconds = 1.0;
+
+/// Width of every recorded time series bucket.
+constexpr double kTimeseriesBucketSeconds = 1.0;
+
+/// A port's queue-high event fires when its occupancy crosses this
+/// fraction of capacity upward; it re-arms once occupancy falls back to
+/// half the watermark.
+constexpr double kQueueWatermarkFraction = 0.9;
+
+/// Ring capacity of each telemetry series (oldest samples evicted).
+constexpr size_t kTelemetryCapacity = 1u << 12;
+
 /// One buffered tuple: its port, the source-emission time it traces back
 /// to (for end-to-end latency), when it entered the queue, and its
 /// latency-tracer span (0 for the untraced majority).
@@ -372,7 +397,7 @@ Status StreamSimulation::Build() {
   const model::ConfigId peak = app_.input_space.PeakConfig();
 
   metrics_ = SimulationMetrics{};
-  metrics_.bucket_seconds = options_.timeseries_bucket_seconds;
+  metrics_.bucket_seconds = kTimeseriesBucketSeconds;
   metrics_.duration = trace_.TotalDuration();
   const size_t num_buckets =
       static_cast<size_t>(std::ceil(metrics_.duration / metrics_.bucket_seconds)) + 1;
@@ -465,10 +490,10 @@ Status StreamSimulation::Build() {
         // arrival rate (§5.2).
         const double peak_rate = rates_.Rate(e.from, peak);
         port.capacity = std::max<size_t>(
-            options_.min_queue_capacity,
+            kMinQueueCapacity,
             static_cast<size_t>(std::ceil(options_.queue_seconds * peak_rate)));
         port.watermark = std::max<size_t>(
-            1, static_cast<size_t>(std::ceil(options_.queue_watermark_fraction *
+            1, static_cast<size_t>(std::ceil(kQueueWatermarkFraction *
                                              static_cast<double>(port.capacity))));
         replica.ports.push_back(port);
       }
@@ -543,7 +568,7 @@ Status StreamSimulation::Build() {
     auto series = [this](const char* name, obs::MetricsRegistry::Labels extra) {
       obs::MetricsRegistry::Labels labels = options_.telemetry_labels;
       labels.insert(labels.end(), extra.begin(), extra.end());
-      return options_.telemetry->GetTimeSeries(name, labels, options_.telemetry_capacity);
+      return options_.telemetry->GetTimeSeries(name, labels, kTelemetryCapacity);
     };
     telemetry->source_rate = series("ts_source_rate", {});
     telemetry->output_rate = series("ts_output_rate", {});
@@ -643,7 +668,7 @@ Status StreamSimulation::Run() {
 
   // The LAAR middleware loop (Rate Monitor -> HAController).
   if (options_.dynamic_control) {
-    simulator_.ScheduleAt(options_.monitor_period_seconds, [this] { MonitorTick(); });
+    simulator_.ScheduleAt(kMonitorPeriodSeconds, [this] { MonitorTick(); });
   }
 
   // The telemetry sampler (read-only; see TelemetryTick).
@@ -1652,7 +1677,7 @@ void StreamSimulation::MonitorTick() {
     source->monitor_snapshot = source->emitted;
     const double adjusted =
         std::max(0.0, static_cast<double>(count) - options_.monitor_tolerance_tuples);
-    measured[source->source_index] = adjusted / options_.monitor_period_seconds;
+    measured[source->source_index] = adjusted / kMonitorPeriodSeconds;
   }
   Result<model::ConfigId> config = config_index_.Lookup(measured);
   if (config.ok() && *config != applied_config_) {
@@ -1662,11 +1687,11 @@ void StreamSimulation::MonitorTick() {
                                        /*pe=*/-1, /*replica=*/-1, /*host=*/-1,
                                        /*port=*/-1, static_cast<double>(target));
     }
-    simulator_.ScheduleAfter(options_.control_latency_seconds,
+    simulator_.ScheduleAfter(kControlLatencySeconds,
                              [this, target] { ApplyConfig(target); });
   }
-  if (simulator_.now() + options_.monitor_period_seconds <= trace_.TotalDuration()) {
-    simulator_.ScheduleAfter(options_.monitor_period_seconds, [this] { MonitorTick(); });
+  if (simulator_.now() + kMonitorPeriodSeconds <= trace_.TotalDuration()) {
+    simulator_.ScheduleAfter(kMonitorPeriodSeconds, [this] { MonitorTick(); });
   }
 }
 
@@ -1841,7 +1866,7 @@ void StreamSimulation::CrashHost(model::HostId host, sim::SimTime duration) {
         // primary, still resyncing, block the election of a healthy
         // secondary and silence the PE for the rest of the resync.
         PeState* pe_ptr = pe.get();
-        simulator_.ScheduleAfter(options_.failover_latency_seconds, [this, pe_ptr] {
+        simulator_.ScheduleAfter(kFailoverLatencySeconds, [this, pe_ptr] {
           const int current = pe_ptr->primary;
           if (current != -1) {
             const Replica& seated = pe_ptr->replicas[static_cast<size_t>(current)];

@@ -326,7 +326,6 @@ Result<double> RunVariantScenario(const HarnessOptions& options,
   if (options.metrics != nullptr && options.record_timeseries) {
     runtime.telemetry = options.metrics;
     runtime.telemetry_period_seconds = options.telemetry_period_seconds;
-    runtime.telemetry_capacity = options.telemetry_capacity;
     runtime.telemetry_labels = scenario_labels;
   }
   std::optional<obs::LatencyTracer> tracer;

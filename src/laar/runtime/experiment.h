@@ -161,7 +161,6 @@ struct HarnessOptions {
   /// are --jobs-invariant like the scalar aggregates.
   bool record_timeseries = false;
   double telemetry_period_seconds = 1.0;
-  size_t telemetry_capacity = 1u << 12;
 
   /// When > 0 (and `metrics` is non-null), every simulation runs a sampled
   /// latency tracer at this rate and publishes its per-operator and

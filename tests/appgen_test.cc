@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -164,6 +165,29 @@ TEST(AppGeneratorTest, EveryPeReachableAndDraining) {
   for (model::ComponentId pe : graph.Pes()) {
     EXPECT_FALSE(graph.IncomingEdges(pe).empty());
     EXPECT_FALSE(graph.OutgoingEdges(pe).empty());
+  }
+}
+
+// Few PEs per source used to leave a source without a successor, and
+// generation failed outright ("source N has no successors").
+TEST(AppGeneratorTest, EverySourceFeedsAPe) {
+  GeneratorOptions web_scale = WebScaleProfile();
+  web_scale.num_pes = 64;
+  web_scale.num_hosts = 16;
+  GeneratorOptions two_sources;
+  two_sources.num_sources = 2;
+  two_sources.num_pes = 10;
+  two_sources.num_hosts = 4;
+  const std::pair<GeneratorOptions, uint64_t> cases[] = {
+      {web_scale, 1}, {web_scale, 2}, {web_scale, 3}, {web_scale, 5}, {two_sources, 5}};
+  for (const auto& [options, seed] : cases) {
+    Result<GeneratedApplication> app = GenerateApplication(options, seed);
+    ASSERT_TRUE(app.ok()) << "seed " << seed << ": " << app.status().ToString();
+    const model::ApplicationGraph& graph = app->descriptor.graph;
+    EXPECT_EQ(graph.Sources().size(), static_cast<size_t>(options.num_sources));
+    for (model::ComponentId source : graph.Sources()) {
+      EXPECT_FALSE(graph.OutgoingEdges(source).empty()) << "seed " << seed;
+    }
   }
 }
 

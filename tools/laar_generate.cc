@@ -12,7 +12,10 @@
 // rack/zone failure topology and rack-spread placement, the workload the
 // sharded-engine scaling benchmarks run (EXPERIMENTS.md). Explicit size
 // flags override the chosen profile's values (`--profile=web-scale --help`
-// lists that profile's).
+// lists that profile's). Shrink the hosts with the PEs: calibration fails
+// ("low configuration overloaded") when the replicas are too few to spread
+// over the hosts, as with `--profile=web-scale --pes=64` on its 256 hosts;
+// `--pes=64 --hosts=16` generates.
 
 #include <cstdio>
 #include <string>
