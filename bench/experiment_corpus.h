@@ -70,7 +70,10 @@ inline std::vector<runtime::AppExperimentRecord> RunExperimentCorpus(
 /// Opt-in observability for the Figs. 9-12 corpus, from its flags.
 /// --trace-dir writes one Chrome trace per (seed, variant, scenario)
 /// simulation into a directory it creates, keeping --trace-categories in a
-/// ring of --trace-capacity events. --metrics-out writes the corpus JSON
+/// ring of --trace-capacity events. At the defaults every trace fills the
+/// 262,144-event ring, roughly 30 MB, so one app writes about 0.5 GB and the
+/// default 12 apps about 6 GB; a shorter --trace-categories list or a
+/// smaller --trace-capacity shrinks them. --metrics-out writes the corpus JSON
 /// document with the serialized metrics registry. --timeseries records ts_*
 /// telemetry every --telemetry-period seconds; --latency-sample-rate samples
 /// per-tuple latency into trace_* percentile gauges. An unknown trace

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "laar/appgen/app_generator.h"
-#include "laar/ftsearch/ft_search.h"
 #include "laar/model/rates.h"
 
 namespace laar::bench {
@@ -53,19 +52,6 @@ inline std::vector<SearchInstance> GenerateSearchCorpus(int num_apps, uint64_t s
     instances.push_back(std::move(instance));
   }
   return instances;
-}
-
-/// Runs FT-Search on one corpus instance at the given IC requirement.
-/// `base` carries any non-default search options (e.g. disabled seeding).
-inline Result<ftsearch::FtSearchResult> SearchInstanceAt(
-    const SearchInstance& instance, double ic_requirement, double time_limit_seconds,
-    ftsearch::FtSearchOptions base = {}) {
-  ftsearch::FtSearchOptions options = base;
-  options.ic_requirement = ic_requirement;
-  options.time_limit_seconds = time_limit_seconds;
-  return ftsearch::RunFtSearch(instance.app.descriptor.graph,
-                               instance.app.descriptor.input_space, instance.rates,
-                               instance.app.placement, instance.app.cluster, options);
 }
 
 }  // namespace laar::bench

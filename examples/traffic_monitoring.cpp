@@ -114,7 +114,9 @@ int main() {
   // The HAController consumes the strategy as a JSON file (§5.1).
   const std::string strategy_path = "/tmp/laar_traffic_strategy.json";
   search->strategy->SaveToFile(strategy_path).CheckOK();
-  auto reloaded = laar::strategy::ActivationStrategy::LoadFromFile(strategy_path);
+  auto reloaded = laar::strategy::ActivationStrategy::LoadFromFile(
+      strategy_path, app.graph.num_components(), placement->replication_factor(),
+      app.input_space.num_configs());
   reloaded.status().CheckOK();
   std::printf("strategy written to %s and reloaded (%d configs)\n\n", strategy_path.c_str(),
               reloaded->num_configs());

@@ -90,10 +90,10 @@ struct SharedState {
   double best_cost = std::numeric_limits<double>::infinity();
   double best_fic = 0.0;
   std::vector<int8_t> best_assignment;
-  double best_seconds = 0.0;
+  uint64_t best_nodes = 0;
   bool first_recorded = false;
   double first_cost = 0.0;
-  double first_seconds = 0.0;
+  uint64_t first_nodes = 0;
 
   /// Set when the deadline or the node limit stops the search.
   bool timed_out = false;
@@ -486,18 +486,17 @@ class SearchContext {
     }
     ++stats_.solutions_found;
     const double cost = cost_lb_;  // exact: every variable is bound
-    const double elapsed = shared_->watch.ElapsedSeconds();
     if (!seeder_ && !shared_->first_recorded) {
       shared_->first_recorded = true;
       shared_->first_cost = cost;
-      shared_->first_seconds = elapsed;
+      shared_->first_nodes = stats_.nodes_explored;
     }
     if (!shared_->found_any || cost < shared_->best_cost - kEpsilon) {
       shared_->found_any = true;
       shared_->best_cost = cost;
       shared_->best_fic = fic_partial_;
       shared_->best_assignment.assign(assignment_.begin(), assignment_.end());
-      shared_->best_seconds = elapsed;
+      shared_->best_nodes = stats_.nodes_explored;  // 0 for the greedy seed
     }
   }
 
@@ -759,10 +758,11 @@ void PublishTo(obs::MetricsRegistry* registry, const FtSearchStats& stats,
 
 std::string FtSearchResult::ToString() const {
   return StrFormat(
-      "%s cost=%.6g ic=%.4f first_cost=%.6g first_t=%.3fs best_t=%.3fs total_t=%.3fs "
-      "nodes=%llu sol=%llu prunes[cpu=%llu compl=%llu cost=%llu dom=%llu]",
+      "%s cost=%.6g ic=%.4f first_cost=%.6g first_nodes=%llu best_nodes=%llu "
+      "total_t=%.3fs nodes=%llu sol=%llu prunes[cpu=%llu compl=%llu cost=%llu dom=%llu]",
       SearchOutcomeName(outcome), best_cost, best_ic, first_solution_cost,
-      first_solution_seconds, best_solution_seconds, total_seconds,
+      static_cast<unsigned long long>(first_solution_nodes),
+      static_cast<unsigned long long>(best_solution_nodes), total_seconds,
       static_cast<unsigned long long>(stats.nodes_explored),
       static_cast<unsigned long long>(stats.solutions_found),
       static_cast<unsigned long long>(stats.cpu.count),
@@ -807,8 +807,8 @@ Result<FtSearchResult> RunFtSearch(const model::ApplicationGraph& graph,
     result.best_ic =
         problem.bic_per_sec <= 0.0 ? 1.0 : shared.best_fic / problem.bic_per_sec;
     result.first_solution_cost = shared.first_cost;
-    result.first_solution_seconds = shared.first_seconds;
-    result.best_solution_seconds = shared.best_seconds;
+    result.first_solution_nodes = shared.first_nodes;
+    result.best_solution_nodes = shared.best_nodes;
   } else {
     result.outcome = shared.timed_out ? SearchOutcome::kTimeout : SearchOutcome::kInfeasible;
   }

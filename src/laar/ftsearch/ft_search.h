@@ -146,9 +146,12 @@ struct FtSearchResult {
   double best_ic = 0.0;
   double first_solution_cost = 0.0;
 
-  /// Wall-clock seconds from search start to each milestone.
-  double first_solution_seconds = 0.0;
-  double best_solution_seconds = 0.0;
+  /// The search's explored-node count when the first and the best
+  /// solutions were recorded: deterministic milestones, where wall-clock
+  /// times would depend on machine load. `best_solution_nodes` is 0 when the
+  /// greedy seed stays the incumbent.
+  uint64_t first_solution_nodes = 0;
+  uint64_t best_solution_nodes = 0;
   double total_seconds = 0.0;
 
   FtSearchStats stats;

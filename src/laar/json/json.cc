@@ -421,6 +421,9 @@ class Parser {
     char* end = nullptr;
     const double value = std::strtod(token.c_str(), &end);
     if (end == nullptr || *end != '\0') return Error("invalid number '" + token + "'");
+    // strtod turns an overflowing literal into ∞, which Dump could not
+    // write back as JSON.
+    if (!std::isfinite(value)) return Error("number '" + token + "' is out of range");
     return Value::Number(value);
   }
 

@@ -127,6 +127,12 @@ Result<ApplicationDescriptor> ApplicationDescriptor::FromJson(const json::Value&
     LAAR_ASSIGN_OR_RETURN(const json::Value* to_value, je.Get("to"));
     LAAR_ASSIGN_OR_RETURN(int64_t from, from_value->AsInt());
     LAAR_ASSIGN_OR_RETURN(int64_t to, to_value->AsInt());
+    // An id past ComponentId's range must not wrap onto a real component.
+    if (from != static_cast<ComponentId>(from) || to != static_cast<ComponentId>(to)) {
+      return Status::InvalidArgument(StrFormat("edge (%lld, %lld) references unknown component",
+                                               static_cast<long long>(from),
+                                               static_cast<long long>(to)));
+    }
     LAAR_ASSIGN_OR_RETURN(
         double selectivity,
         je.GetOr("selectivity", json::Value::Number(1.0)).AsDouble());
@@ -145,6 +151,10 @@ Result<ApplicationDescriptor> ApplicationDescriptor::FromJson(const json::Value&
     LAAR_ASSIGN_OR_RETURN(const json::Value* source_value, js.Get("source"));
     LAAR_ASSIGN_OR_RETURN(int64_t source_id, source_value->AsInt());
     rate_set.source = static_cast<ComponentId>(source_id);
+    if (rate_set.source != source_id) {
+      return Status::InvalidArgument(
+          StrFormat("unknown source %lld", static_cast<long long>(source_id)));
+    }
     LAAR_ASSIGN_OR_RETURN(const json::Value* rates, js.Get("rates"));
     for (const json::Value& r : rates->array()) {
       LAAR_ASSIGN_OR_RETURN(double rate, r.AsDouble());

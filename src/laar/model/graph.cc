@@ -1,5 +1,6 @@
 #include "laar/model/graph.h"
 
+#include <cmath>
 #include <deque>
 #include <set>
 #include <utility>
@@ -49,6 +50,13 @@ Status ApplicationGraph::AddEdge(ComponentId from, ComponentId to, double select
                                              from, to));
   }
   if (from == to) return Status::InvalidArgument("self-loop edges are not allowed");
+  // Every edge, a sink's too: a descriptor holding ∞ or NaN could not be
+  // written out as JSON and read back.
+  if (!std::isfinite(selectivity) || !std::isfinite(cpu_cost_cycles)) {
+    return Status::InvalidArgument(
+        StrFormat("edge (%d, %d): selectivity %g and per-tuple CPU cost %g must be finite",
+                  from, to, selectivity, cpu_cost_cycles));
+  }
   if (IsPe(to)) {
     if (selectivity <= 0.0) {
       return Status::InvalidArgument(

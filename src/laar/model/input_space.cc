@@ -11,7 +11,9 @@ namespace {
 Status CheckPmf(const std::vector<double>& probabilities, const char* what) {
   double total = 0.0;
   for (double p : probabilities) {
-    if (p < 0.0) return Status::InvalidArgument(StrFormat("%s: negative probability", what));
+    if (!std::isfinite(p) || p < 0.0) {
+      return Status::InvalidArgument(StrFormat("%s: probability %g is not in [0, 1]", what, p));
+    }
     total += p;
   }
   if (std::abs(total - 1.0) > 1e-9) {
@@ -34,7 +36,10 @@ Status InputSpace::AddSource(const SourceRateSet& rate_set) {
     return Status::InvalidArgument("probabilities must parallel rates");
   }
   for (double r : rate_set.rates) {
-    if (r < 0.0) return Status::InvalidArgument("source rates must be non-negative");
+    if (!std::isfinite(r) || r < 0.0) {
+      return Status::InvalidArgument(
+          StrFormat("source rates must be finite and non-negative, got %g", r));
+    }
   }
   LAAR_RETURN_IF_ERROR(CheckPmf(rate_set.probabilities, "source rate probabilities"));
   for (const SourceRateSet& existing : sources_) {

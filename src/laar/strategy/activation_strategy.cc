@@ -1,5 +1,7 @@
 #include "laar/strategy/activation_strategy.h"
 
+#include <limits>
+
 #include "laar/common/strings.h"
 
 namespace laar::strategy {
@@ -82,7 +84,10 @@ Result<ActivationStrategy> ActivationStrategy::FromJson(const json::Value& value
   LAAR_ASSIGN_OR_RETURN(int64_t replication_factor, rf->AsInt());
   LAAR_ASSIGN_OR_RETURN(const json::Value* ncfg, value.Get("num_configs"));
   LAAR_ASSIGN_OR_RETURN(int64_t num_configs, ncfg->AsInt());
-  if (num_components < 0 || replication_factor < 1 || num_configs < 0) {
+  // Components, replicas and configurations are int ids.
+  constexpr int64_t kMaxId = std::numeric_limits<int>::max();
+  if (num_components < 0 || num_components > kMaxId || replication_factor < 1 ||
+      replication_factor > kMaxId || num_configs < 0 || num_configs > kMaxId) {
     return Status::InvalidArgument("invalid strategy dimensions");
   }
   ActivationStrategy out(static_cast<size_t>(num_components),
@@ -121,8 +126,29 @@ Status ActivationStrategy::SaveToFile(const std::string& path) const {
   return json::WriteFile(ToJson(), path);
 }
 
-Result<ActivationStrategy> ActivationStrategy::LoadFromFile(const std::string& path) {
+Result<ActivationStrategy> ActivationStrategy::LoadFromFile(const std::string& path,
+                                                            size_t num_components,
+                                                            int replication_factor,
+                                                            model::ConfigId num_configs) {
   LAAR_ASSIGN_OR_RETURN(json::Value doc, json::ParseFile(path));
+  json::Value want = json::Value::MakeObject();
+  want.Set("num_components", json::Value::Int(static_cast<int64_t>(num_components)));
+  want.Set("replication_factor", json::Value::Int(replication_factor));
+  want.Set("num_configs", json::Value::Int(num_configs));
+  // Each dimension's JSON text, "null" when the key is missing.
+  const auto shape = [](const json::Value& v) {
+    std::string out;
+    for (const char* key : {"num_components", "replication_factor", "num_configs"}) {
+      out += StrFormat("%s%s=%s", out.empty() ? "" : " ", key,
+                       v.GetOr(key, json::Value()).Dump().c_str());
+    }
+    return out;
+  };
+  if (shape(doc) != shape(want)) {
+    return Status::InvalidArgument(StrFormat("%s declares %s, but the app and deployment have %s",
+                                             path.c_str(), shape(doc).c_str(),
+                                             shape(want).c_str()));
+  }
   return FromJson(doc);
 }
 

@@ -65,7 +65,15 @@ class ActivationStrategy {
   static Result<ActivationStrategy> FromJson(const json::Value& value);
 
   Status SaveToFile(const std::string& path) const;
-  static Result<ActivationStrategy> LoadFromFile(const std::string& path);
+  /// Reads the strategy file at `path` for an app of `num_components`
+  /// components and `num_configs` configurations, deployed with
+  /// `replication_factor` replicas per PE. A file that declares other
+  /// dimensions is rejected, naming both shapes, before a table of its size
+  /// is allocated.
+  static Result<ActivationStrategy> LoadFromFile(const std::string& path,
+                                                 size_t num_components,
+                                                 int replication_factor,
+                                                 model::ConfigId num_configs);
 
   friend bool operator==(const ActivationStrategy& a, const ActivationStrategy& b) {
     return a.num_components_ == b.num_components_ &&

@@ -274,6 +274,31 @@ TEST(FtSearchTest, GreedySeedMakesTimeoutsFeasible) {
   EXPECT_EQ(bare->outcome, SearchOutcome::kTimeout);
 }
 
+TEST(FtSearchTest, SolutionMilestonesCountExploredNodes) {
+  // Unseeded, the first and the best solutions are the search's own, found
+  // at explored-node counts 0 < first <= best <= total.
+  Fixture f;
+  FtSearchOptions options;
+  options.ic_requirement = 0.6;
+  options.seed_greedy = false;
+  Result<FtSearchResult> unseeded = f.Search(options);
+  ASSERT_TRUE(unseeded.ok());
+  ASSERT_EQ(unseeded->outcome, SearchOutcome::kOptimal);
+  EXPECT_GT(unseeded->first_solution_nodes, 0u);
+  EXPECT_LE(unseeded->first_solution_nodes, unseeded->best_solution_nodes);
+  EXPECT_LE(unseeded->best_solution_nodes, unseeded->stats.nodes_explored);
+
+  // Seeded with the optimum, the search proves it without beating it: the
+  // greedy seed stays the incumbent, recorded at node 0.
+  options.seed_greedy = true;
+  Result<FtSearchResult> seeded = f.Search(options);
+  ASSERT_TRUE(seeded.ok());
+  ASSERT_EQ(seeded->outcome, SearchOutcome::kOptimal);
+  EXPECT_DOUBLE_EQ(seeded->best_cost, unseeded->best_cost);
+  EXPECT_GT(seeded->stats.nodes_explored, 0u);
+  EXPECT_EQ(seeded->best_solution_nodes, 0u);
+}
+
 TEST(FtSearchTest, TightAndLooseIcBoundsAgreeOnRandomApps) {
   appgen::GeneratorOptions generator;
   generator.num_pes = 8;

@@ -1,0 +1,121 @@
+// A seeded mutation test over the JSON input surface. Byte edits (replace,
+// insert, delete) of a generated descriptor and of its greedy strategy go
+// through json::Parse and FromJson. Nothing may abort, and every mutant that
+// FromJson accepts must round-trip byte for byte through ToJson → Dump →
+// Parse → FromJson → ToJson.
+
+#include <cstdint>
+#include <string>
+#include <string_view>
+
+#include <gtest/gtest.h>
+
+#include "laar/appgen/app_generator.h"
+#include "laar/common/rng.h"
+#include "laar/json/json.h"
+#include "laar/model/descriptor.h"
+#include "laar/model/rates.h"
+#include "laar/strategy/activation_strategy.h"
+#include "laar/strategy/baselines.h"
+
+namespace laar {
+namespace {
+
+constexpr int kMutantsPerDocument = 4000;
+
+/// Applies one to three seeded byte edits to `text` (not empty). Most new
+/// bytes come from JSON's own alphabet, so that many mutants still parse.
+std::string Mutate(std::string text, Rng& rng) {
+  constexpr std::string_view kJsonBytes = "0123456789+-.eE\"{}[],:tfnul ";
+  const int64_t edits = rng.UniformInt(1, 3);
+  for (int64_t e = 0; e < edits && !text.empty(); ++e) {
+    const char byte =
+        rng.Bernoulli(0.75)
+            ? kJsonBytes[static_cast<size_t>(
+                  rng.UniformInt(0, static_cast<int64_t>(kJsonBytes.size()) - 1))]
+            : static_cast<char>(rng.UniformInt(0, 255));
+    const auto at = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(text.size()) - 1));
+    switch (rng.UniformInt(0, 2)) {
+      case 0:
+        text[at] = byte;
+        break;
+      case 1:
+        text.insert(at, 1, byte);
+        break;
+      default:
+        text.erase(at, 1);
+        break;
+    }
+  }
+  return text;
+}
+
+/// Passes `kMutantsPerDocument` mutants of `text` through Parse and
+/// `T::FromJson`, and checks that each accepted one round-trips. Returns
+/// how many were accepted.
+template <typename T>
+int CheckMutants(const std::string& text, uint64_t seed) {
+  Rng rng(seed);
+  int accepted = 0;
+  int broken = 0;
+  std::string first_broken;
+  for (int m = 0; m < kMutantsPerDocument; ++m) {
+    const std::string mutant = Mutate(text, rng);
+    Result<json::Value> doc = json::Parse(mutant);
+    if (!doc.ok()) continue;
+    Result<T> value = T::FromJson(*doc);
+    if (!value.ok()) continue;
+    ++accepted;
+    const std::string dumped = value->ToJson().Dump();
+    Result<json::Value> reparsed = json::Parse(dumped);
+    Result<T> again = reparsed.ok() ? T::FromJson(*reparsed) : Result<T>(reparsed.status());
+    if (again.ok() && again->ToJson().Dump() == dumped) continue;
+    if (broken++ == 0) {
+      first_broken = "mutant " + std::to_string(m) + ": " +
+                     (again.ok() ? "dumps differently" : again.status().ToString());
+    }
+  }
+  EXPECT_EQ(broken, 0) << broken << " of " << accepted
+                       << " accepted mutants do not round-trip; the first is " << first_broken;
+  return accepted;
+}
+
+struct Documents {
+  std::string descriptor;
+  std::string strategy;
+};
+
+/// The `laar_generate --seed=7` app and its greedy strategy, as the files
+/// the tools write.
+Documents MakeDocuments() {
+  Result<appgen::GeneratedApplication> app = appgen::GenerateApplication({}, 7);
+  EXPECT_TRUE(app.ok()) << app.status().ToString();
+  if (!app.ok()) return {};
+  const model::ApplicationDescriptor& descriptor = app->descriptor;
+  Result<model::ExpectedRates> rates =
+      model::ExpectedRates::Compute(descriptor.graph, descriptor.input_space);
+  EXPECT_TRUE(rates.ok()) << rates.status().ToString();
+  if (!rates.ok()) return {};
+  const strategy::ActivationStrategy greedy = strategy::MakeGreedy(
+      descriptor.graph, descriptor.input_space, *rates, app->placement, app->cluster);
+  return {descriptor.ToJson().Dump(2), greedy.ToJson().Dump(2)};
+}
+
+TEST(JsonMutationTest, AcceptedDescriptorsRoundTrip) {
+  const Documents documents = MakeDocuments();
+  ASSERT_FALSE(documents.descriptor.empty());
+  // Enough mutants get through for the property to bite.
+  EXPECT_GT(CheckMutants<model::ApplicationDescriptor>(documents.descriptor, 1),
+            kMutantsPerDocument / 20);
+}
+
+TEST(JsonMutationTest, AcceptedStrategiesRoundTrip) {
+  const Documents documents = MakeDocuments();
+  ASSERT_FALSE(documents.strategy.empty());
+  EXPECT_GT(CheckMutants<strategy::ActivationStrategy>(documents.strategy, 2),
+            kMutantsPerDocument / 20);
+}
+
+}  // namespace
+}  // namespace laar

@@ -103,6 +103,18 @@ TEST(JsonParseTest, RejectsMalformed) {
   EXPECT_FALSE(Parse("00x").ok());
 }
 
+TEST(JsonParseTest, RejectsNumbersOutOfRange) {
+  // strtod makes these ±∞, which Dump could not write back.
+  for (const char* text : {"1e999", "[-1e999]", "{\"selectivity\": 1e999}"}) {
+    const Result<Value> parsed = Parse(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_NE(parsed.status().message().find("e999' is out of range"), std::string::npos)
+        << parsed.status().ToString();
+  }
+  EXPECT_DOUBLE_EQ((*Parse("1e308")).number_value(), 1e308);
+  EXPECT_EQ((*Parse("1e-999")).number_value(), 0.0);  // underflow stays finite
+}
+
 TEST(JsonParseTest, StringEscapes) {
   EXPECT_EQ((*Parse(R"("a\"\\\n\tA")")).string_value(), "a\"\\\n\tA");
   EXPECT_FALSE(Parse(R"("\u00G1")").ok());

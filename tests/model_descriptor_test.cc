@@ -1,3 +1,4 @@
+#include <cstdint>
 #include <cstdio>
 
 #include <gtest/gtest.h>
@@ -113,6 +114,15 @@ TEST(DescriptorTest, FromJsonRejectsBadDocuments) {
   auto doc3 = MakeApp().ToJson();
   doc3.object()["edges"].array()[0].Set("to", json::Value::Int(99));
   EXPECT_FALSE(ApplicationDescriptor::FromJson(doc3).ok());
+
+  // Ids 2^32 past a real component do not wrap onto it.
+  constexpr int64_t kWrap = int64_t{1} << 32;
+  auto doc4 = MakeApp().ToJson();
+  doc4.object()["edges"].array()[0].Set("from", json::Value::Int(kWrap));
+  EXPECT_FALSE(ApplicationDescriptor::FromJson(doc4).ok());
+  auto doc5 = MakeApp().ToJson();
+  doc5.object()["source_rates"].array()[0].Set("source", json::Value::Int(kWrap));
+  EXPECT_FALSE(ApplicationDescriptor::FromJson(doc5).ok());
 }
 
 }  // namespace

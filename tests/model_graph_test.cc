@@ -1,3 +1,6 @@
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "laar/model/graph.h"
@@ -96,6 +99,22 @@ TEST(GraphTest, RejectsNonPositiveSelectivityIntoPe) {
   EXPECT_FALSE(g.AddEdge(s, p, 1.0, -5.0).ok());
 }
 
+TEST(GraphTest, RejectsNonFiniteEdgeAttributes) {
+  ApplicationGraph g;
+  const ComponentId s = g.AddSource("s");
+  const ComponentId p = g.AddPe("p");
+  const ComponentId k = g.AddSink("k");
+  const double inf = std::numeric_limits<double>::infinity();
+  const Status status = g.AddEdge(s, p, inf, 1.0);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("selectivity inf"), std::string::npos) << status.ToString();
+  EXPECT_FALSE(g.AddEdge(s, p, 1.0, inf).ok());
+  EXPECT_FALSE(g.AddEdge(s, p, std::numeric_limits<double>::quiet_NaN(), 1.0).ok());
+  // A sink's edge too: the descriptor could not be written out and read back.
+  EXPECT_FALSE(g.AddEdge(p, k, inf, 0.0).ok());
+  EXPECT_EQ(g.num_edges(), 0u);
+}
+
 TEST(GraphTest, ValidateRejectsDuplicateEdge) {
   ApplicationGraph g;
   const ComponentId s = g.AddSource("s");
@@ -169,7 +188,7 @@ TEST(GraphTest, SinkEdgeAttributesNotConstrained) {
   const ComponentId p = g.AddPe("p");
   const ComponentId k = g.AddSink("k");
   ASSERT_TRUE(g.AddEdge(s, p, 1, 1).ok());
-  // Edges into sinks ignore selectivity/cost validation.
+  // Edges into sinks skip the sign checks; only finiteness applies.
   EXPECT_TRUE(g.AddEdge(p, k, -3.0, -1.0).ok());
   EXPECT_TRUE(g.Validate().ok());
 }

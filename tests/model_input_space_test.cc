@@ -1,3 +1,6 @@
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "laar/model/input_space.h"
@@ -103,6 +106,20 @@ TEST(InputSpaceTest, RejectsNegativeRates) {
   s.rates = {-1.0, 2.0};
   s.probabilities = {0.5, 0.5};
   EXPECT_FALSE(space.AddSource(s).ok());
+}
+
+TEST(InputSpaceTest, RejectsNonFiniteRatesAndProbabilities) {
+  InputSpace space;
+  SourceRateSet s = TwoRates(0, 1.0, std::numeric_limits<double>::infinity(), 0.5);
+  const Status status = space.AddSource(s);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("got inf"), std::string::npos) << status.ToString();
+  s.rates = {1.0, std::numeric_limits<double>::quiet_NaN()};
+  EXPECT_FALSE(space.AddSource(s).ok());
+  s.rates = {1.0, 2.0};
+  s.probabilities = {std::numeric_limits<double>::quiet_NaN(), 0.5};
+  EXPECT_FALSE(space.AddSource(s).ok());
+  EXPECT_EQ(space.num_sources(), 0u);
 }
 
 TEST(InputSpaceTest, ValidateRequiresSources) {

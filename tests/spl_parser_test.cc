@@ -161,6 +161,30 @@ application x {
                    .ok());
 }
 
+TEST(SplParserTest, RejectsOverflowingNumbers) {
+  // strtod turns 1e999 into ∞; the model's own checks reject the value.
+  const char* const texts[] = {
+      R"(application x {
+  source s { rate Low = 1 @ 0.5; rate High = 1e999 @ 0.5; }
+  pe a; sink k;
+  stream s -> a [cost = 1];
+  stream a -> k;
+})",
+      R"(application x {
+  source s { rate r = 1 @ 1.0; }
+  pe a; sink k;
+  stream s -> a [selectivity = 1e999, cost = 1];
+  stream a -> k;
+})",
+  };
+  for (const char* text : texts) {
+    Result<model::ApplicationDescriptor> app = ParseApplication(text);
+    ASSERT_FALSE(app.ok()) << text;
+    EXPECT_NE(app.status().message().find("inf"), std::string::npos)
+        << app.status().ToString();
+  }
+}
+
 TEST(SplParserTest, FileRoundTrip) {
   const std::string path = testing::TempDir() + "/laar_spl_test.spl";
   {

@@ -1,4 +1,6 @@
+#include <cstdint>
 #include <cstdio>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -104,9 +106,17 @@ TEST(ActivationStrategyTest, FileRoundTrip) {
   ActivationStrategy s(2, 2, 2);
   s.SetActive(1, 1, 0, false);
   ASSERT_TRUE(s.SaveToFile(path).ok());
-  Result<ActivationStrategy> loaded = ActivationStrategy::LoadFromFile(path);
+  Result<ActivationStrategy> loaded = ActivationStrategy::LoadFromFile(path, 2, 2, 2);
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(*loaded == s);
+  // A file for another shape is rejected, naming both.
+  Result<ActivationStrategy> other = ActivationStrategy::LoadFromFile(path, 3, 2, 2);
+  ASSERT_FALSE(other.ok());
+  EXPECT_NE(other.status().message().find(
+                "declares num_components=2 replication_factor=2 num_configs=2, but the app "
+                "and deployment have num_components=3 replication_factor=2 num_configs=2"),
+            std::string::npos)
+      << other.status().ToString();
   std::remove(path.c_str());
 }
 
@@ -126,6 +136,13 @@ TEST(ActivationStrategyTest, FromJsonRejectsCorruptDocuments) {
   bad_pair.Append(json::Value::Int(0));
   doc3.object()["configs"].array()[0].object()["active"].Append(std::move(bad_pair));
   EXPECT_FALSE(ActivationStrategy::FromJson(doc3).ok());
+
+  // 2^32 + 2 configurations would wrap to a table sized for 2, and config 3
+  // would write past it.
+  auto doc4 = s.ToJson();
+  doc4.Set("num_configs", json::Value::Int((int64_t{1} << 32) + 2));
+  doc4.object()["configs"].array()[0].Set("config", json::Value::Int(3));
+  EXPECT_FALSE(ActivationStrategy::FromJson(doc4).ok());
 }
 
 TEST(BaselinesTest, StaticReplicationActivatesEverything) {

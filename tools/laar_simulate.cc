@@ -250,13 +250,15 @@ int main(int argc, char** argv) {
                  app.status().ToString().c_str());
     return 1;
   }
-  auto strategy = laar::strategy::ActivationStrategy::LoadFromFile(strategy_path);
+  const auto deployment = laar::tools::BuildDeployment(*app, deployment_flags);
+  auto strategy = laar::strategy::ActivationStrategy::LoadFromFile(
+      strategy_path, app->graph.num_components(), deployment.placement.replication_factor(),
+      app->input_space.num_configs());
   if (!strategy.ok()) {
     std::fprintf(stderr, "cannot load %s: %s\n", strategy_path.c_str(),
                  strategy.status().ToString().c_str());
     return 1;
   }
-  const auto deployment = laar::tools::BuildDeployment(*app, deployment_flags);
 
   auto trace = laar::runtime::MakeExperimentTrace(app->input_space, trace_seconds,
                                                   high_fraction, cycles);

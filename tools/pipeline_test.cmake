@@ -59,6 +59,25 @@ if(worst GREATER best)
 endif()
 message(STATUS "pipeline OK: best=${best} worst=${worst}")
 
+# A strategy solved for another app is rejected before it is read, the
+# worst-case survivor choice included, with both shapes in the message.
+set(OTHER_APP ${WORKDIR}/pipeline_other_app.json)
+execute_process(
+  COMMAND ${GEN} --out=${OTHER_APP} --pes=10 --hosts=6 --seed=6
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "laar_generate --pes=10 failed with ${rc}")
+endif()
+execute_process(
+  COMMAND ${SIM} --app=${OTHER_APP} --strategy=${STRATEGY} --hosts=6 --trace-seconds=60
+          --worst-case
+  ERROR_VARIABLE mismatch_err
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 1 OR NOT mismatch_err MATCHES
+   "declares num_components=14 .* but the app and deployment have num_components=12 ")
+  message(FATAL_ERROR "laar_simulate took another app's strategy: exit ${rc}\n${mismatch_err}")
+endif()
+
 # --- tracing leg: record a worst-case run, then summarize/validate/filter ---
 set(TRACE_JSON ${WORKDIR}/pipeline_trace.json)
 set(TRACE_FILTERED ${WORKDIR}/pipeline_trace_filtered.json)

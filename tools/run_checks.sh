@@ -4,7 +4,7 @@
 #   sh tools/run_checks.sh [build-dir]
 #
 # 1. configures + builds the default tree (-Wall -Wextra -Werror),
-# 2. runs the full ctest suite,
+# 2. runs the full ctest suite, $JOBS tests at a time,
 # 3. verifies no generated artifacts are tracked by git,
 # 4. smoke-tests the CLI pipeline end to end (generate -> solve ->
 #    simulate with a correlated rack outage and an explicit overlapping
@@ -39,7 +39,7 @@ cmake -B "$BUILD_DIR" -S . >/dev/null
 cmake --build "$BUILD_DIR" -j "$JOBS"
 
 echo "== [2/6] ctest =="
-ctest --test-dir "$BUILD_DIR" --output-on-failure
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
 echo "== [3/6] tracked-artifact check =="
 sh tools/check_no_tracked_artifacts.sh
