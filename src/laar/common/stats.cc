@@ -43,29 +43,37 @@ double SampleStats::variance() const {
 double SampleStats::stddev() const { return std::sqrt(variance()); }
 
 double SampleStats::min() const {
-  EnsureSorted();
-  return sorted_.empty() ? 0.0 : sorted_.front();
+  if (samples_.empty()) return 0.0;
+  return sorted_valid_ ? sorted_.front() : *std::min_element(samples_.begin(), samples_.end());
 }
 
 double SampleStats::max() const {
-  EnsureSorted();
-  return sorted_.empty() ? 0.0 : sorted_.back();
+  if (samples_.empty()) return 0.0;
+  return sorted_valid_ ? sorted_.back() : *std::max_element(samples_.begin(), samples_.end());
 }
 
 double SampleStats::Percentile(double q) const {
-  EnsureSorted();
-  if (sorted_.empty()) return 0.0;
-  if (sorted_.size() == 1) return sorted_.front();
+  const size_t n = samples_.size();
+  if (n == 0) return 0.0;
+  if (n == 1) return samples_.front();
   // `!(q > 0.0)` rather than `q <= 0.0`: a NaN `q` fails both orderings, and
   // letting it reach the interpolation below would make the
   // `static_cast<size_t>` undefined.
-  if (!(q > 0.0)) return sorted_.front();
-  if (q >= 100.0) return sorted_.back();
-  const double pos = q / 100.0 * static_cast<double>(sorted_.size() - 1);
+  if (!(q > 0.0)) return min();
+  if (q >= 100.0) return max();
+  const double pos = q / 100.0 * static_cast<double>(n - 1);
   const size_t idx = static_cast<size_t>(pos);
   const double frac = pos - static_cast<double>(idx);
-  if (idx + 1 >= sorted_.size()) return sorted_.back();
-  return sorted_[idx] * (1.0 - frac) + sorted_[idx + 1] * frac;
+  if (idx + 1 >= n) return max();
+  if (sorted_valid_) return sorted_[idx] * (1.0 - frac) + sorted_[idx + 1] * frac;
+  // Select the two order statistics instead of sorting: rank idx by
+  // partition, and rank idx + 1 as the least of what lies above it. The
+  // scratch copy stays marked unsorted.
+  sorted_ = samples_;
+  const auto lower = sorted_.begin() + static_cast<std::ptrdiff_t>(idx);
+  std::nth_element(sorted_.begin(), lower, sorted_.end());
+  const double upper = *std::min_element(lower + 1, sorted_.end());
+  return *lower * (1.0 - frac) + upper * frac;
 }
 
 BoxPlot SampleStats::Summarize() const {

@@ -103,12 +103,35 @@ void Simulator::HeapRemoveAt(size_t pos) {
   }
 }
 
+void Simulator::SettleRoot() {
+  if (root_ == Root::kVacant) {
+    heap_.front() = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) SiftDown(0);
+  } else {
+    heap_.front().when = root_when_;
+    heap_.front().sequence = root_sequence_;
+    SiftDown(0);
+  }
+  root_ = Root::kSettled;
+}
+
 EventId Simulator::ScheduleAt(SimTime when, EventCallback callback) {
   if (when < now_) when = now_;
   if (callback.boxed()) ++stats_.boxed_callbacks;
   const uint32_t slot_index = AllocSlot();
   slots_[slot_index].callback = std::move(callback);
-  HeapPush(slot_index, when, next_sequence_++);
+  if (root_ == Root::kVacant) {
+    // Take the fired event's place; its sentinel key stays until the root
+    // settles, so no sift runs now.
+    heap_.front().slot = slot_index;
+    slots_[slot_index].heap_pos = 0;
+    root_when_ = when;
+    root_sequence_ = next_sequence_++;
+    root_ = Root::kOccupied;
+  } else {
+    HeapPush(slot_index, when, next_sequence_++);
+  }
   return IdOf(slot_index);
 }
 
@@ -119,7 +142,12 @@ EventId Simulator::ScheduleAfter(SimTime delay, EventCallback callback) {
 bool Simulator::Cancel(EventId id) {
   const uint32_t slot_index = FindSlot(id);
   if (slot_index == kNullPos) return false;
-  HeapRemoveAt(slots_[slot_index].heap_pos);
+  const size_t pos = slots_[slot_index].heap_pos;
+  if (pos == 0 && root_ == Root::kOccupied) {
+    root_ = Root::kVacant;  // the sentinel key never left the root
+  } else {
+    HeapRemoveAt(pos);
+  }
   FreeSlot(slot_index);
   return true;
 }
@@ -129,6 +157,11 @@ bool Simulator::Reschedule(EventId id, SimTime when) {
   if (slot_index == kNullPos) return false;
   if (when < now_) when = now_;
   const size_t pos = slots_[slot_index].heap_pos;
+  if (pos == 0 && root_ == Root::kOccupied) {
+    root_when_ = when;
+    root_sequence_ = next_sequence_++;
+    return true;
+  }
   heap_[pos].when = when;
   heap_[pos].sequence = next_sequence_++;
   SiftDown(SiftUp(pos));
@@ -150,11 +183,14 @@ void Simulator::AdvanceInline(SimTime when) {
 }
 
 bool Simulator::Step() {
+  Settle();
   if (heap_.empty()) return false;
   const HeapEntry top = heap_.front();
-  HeapRemoveAt(0);
-  // Move the payload out and recycle the slot before invoking, so the
-  // callback can schedule (and typically reuse this very slot) freely.
+  // The fired entry stays at the root as the sentinel (see Root); the first
+  // event the callback schedules takes its place. Move the payload out and
+  // recycle the slot before invoking, so the callback can schedule (and
+  // typically reuse this very slot) freely.
+  root_ = Root::kVacant;
   EventCallback callback = std::move(slots_[top.slot].callback);
   FreeSlot(top.slot);
   now_ = top.when;
@@ -170,14 +206,16 @@ void Simulator::Run() {
 }
 
 void Simulator::RunUntil(SimTime end_time) {
-  while (!heap_.empty() && heap_.front().when <= end_time) {
+  SimTime when;
+  while (NextEventTime(&when) && when <= end_time) {
     Step();
   }
   if (now_ < end_time) now_ = end_time;
 }
 
 void Simulator::RunBefore(SimTime end_time) {
-  while (!heap_.empty() && heap_.front().when < end_time) {
+  SimTime when;
+  while (NextEventTime(&when) && when < end_time) {
     Step();
   }
   if (now_ < end_time) now_ = end_time;

@@ -120,7 +120,10 @@ class EventCallback {
 /// pooled slots recycled through a free list, and the pending set is an
 /// indexed 4-ary min-heap whose `Cancel`/`Reschedule` work in place in
 /// O(log n) — no tombstones, so `pending_events()` is exact and cancelling
-/// an already-fired event cannot leak state.
+/// an already-fired event cannot leak state. A fired event's heap entry
+/// stays at the root until the next read of the heap order, so the first
+/// event its callback schedules replaces it there with one sift-down in
+/// place of a pop and a push.
 class Simulator {
  public:
   struct EngineStats {
@@ -154,8 +157,10 @@ class Simulator {
   bool Reschedule(EventId id, SimTime when);
 
   /// Earliest pending timestamp, if any. Lets batching callers drain work
-  /// inline while they remain ahead of the rest of the simulation.
-  bool NextEventTime(SimTime* when) const {
+  /// inline while they remain ahead of the rest of the simulation. Not
+  /// const: it settles the heap root first (see `Root`).
+  bool NextEventTime(SimTime* when) {
+    Settle();
     if (heap_.empty()) return false;
     *when = heap_.front().when;
     return true;
@@ -192,7 +197,9 @@ class Simulator {
   void set_trace_recorder(obs::TraceRecorder* recorder, uint64_t sample_interval = 1024);
 
   /// Pending (not yet fired, not cancelled) events — exact, O(1).
-  size_t pending_events() const { return heap_.size(); }
+  size_t pending_events() const {
+    return heap_.size() - (root_ == Root::kVacant ? 1 : 0);
+  }
 
   /// Allocation accounting for the zero-alloc steady-state guarantee: once
   /// `slots_created` stops growing and `boxed_callbacks` stays 0, scheduling
@@ -204,6 +211,19 @@ class Simulator {
 
  private:
   static constexpr uint32_t kNullPos = 0xffffffffu;
+
+  /// What `heap_[0]` holds between a `Step` and the next read of the heap
+  /// order (`Step`, `NextEventTime`, `RunUntil`, `RunBefore`). `Step` leaves
+  /// the fired entry at the root as a sentinel. Its key is no later than
+  /// any key a callback can create (times clamp to `now()`, sequences only
+  /// grow), so every other sift stops below it and the subtrees under the
+  /// root stay valid heaps. The key stays in place until the root settles.
+  enum class Root : uint8_t {
+    kSettled,   ///< the root is the pending minimum (or the heap is empty)
+    kVacant,    ///< only the sentinel: no pending event holds the root
+    kOccupied,  ///< a pending event holds the root; its key waits in
+                ///< `root_when_` and `root_sequence_`
+  };
 
   /// Heap keys are stored in the heap array itself, so sift comparisons
   /// never chase the slot pool.
@@ -237,6 +257,13 @@ class Simulator {
   uint32_t AllocSlot();
   void FreeSlot(uint32_t slot_index);
 
+  /// Makes `heap_[0]` the pending minimum: pops a vacant sentinel, or
+  /// sifts the root occupant down under its own key.
+  void Settle() {
+    if (root_ != Root::kSettled) SettleRoot();
+  }
+  void SettleRoot();
+
   void HeapPush(uint32_t slot_index, SimTime when, uint64_t sequence);
   void HeapRemoveAt(size_t pos);
   size_t SiftUp(size_t pos);
@@ -252,6 +279,9 @@ class Simulator {
   EngineStats stats_;
 
   std::vector<HeapEntry> heap_;
+  Root root_ = Root::kSettled;
+  SimTime root_when_ = 0.0;
+  uint64_t root_sequence_ = 0;
   std::vector<Slot> slots_;
   uint32_t free_head_ = kNullPos;
 };

@@ -292,11 +292,14 @@ class Parser {
 
   Result<double> ParseCost(const Token& token) {
     // "100ms" tokenizes as number 100 with text "100ms": the unit is the
-    // alphabetic tail.
-    std::string unit;
-    for (char c : token.text) {
-      if (std::isalpha(static_cast<unsigned char>(c))) unit.push_back(c);
+    // run of letters after the numeric literal. A literal ends in a digit or
+    // a '.', so its exponent's 'e' ("1e3ms") never joins that run.
+    size_t unit_start = token.text.size();
+    while (unit_start > 0 &&
+           std::isalpha(static_cast<unsigned char>(token.text[unit_start - 1]))) {
+      --unit_start;
     }
+    const std::string unit = token.text.substr(unit_start);
     constexpr double kReferenceHz = 1e9;  // 1 GHz reference core
     if (unit.empty() || unit == "cycles") return token.number;
     if (unit == "ms") return token.number * 1e-3 * kReferenceHz;

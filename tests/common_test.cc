@@ -1,8 +1,10 @@
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <set>
 #include <string>
@@ -335,6 +337,77 @@ TEST(SampleStatsTest, PercentileAfterLaterAdds) {
   stats.Add(9.0);
   EXPECT_DOUBLE_EQ(stats.Percentile(50), 5.0);
   EXPECT_DOUBLE_EQ(stats.min(), 1.0);
+}
+
+// On an unsorted reservoir Percentile selects its two order statistics;
+// the value must equal the sorted path's bit for bit. Each case grows one
+// reservoir in chunks and, between chunks, calls min, max, Summarize or
+// nothing, so a sorted cache left stale by a later Add would show. The
+// reference is a fresh reservoir sorted by Summarize. Samples hold many
+// duplicates but no -0.0, which compares equal to 0.0 and may land on
+// either side of it in a sort or a selection.
+TEST(SampleStatsTest, SelectedPercentilesMatchTheSortedPathBitForBit) {
+  const double kQs[] = {std::numeric_limits<double>::quiet_NaN(),
+                        -5.0,
+                        0.0,
+                        1e-9,
+                        25.0,
+                        50.0,
+                        95.0,
+                        99.0,
+                        100.0 - 1e-12,
+                        100.0,
+                        150.0};
+  Rng rng(25);
+  int compared = 0;
+  for (const size_t size : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{10000}}) {
+    for (int round = 0; round < 4; ++round) {
+      SampleStats stats;
+      std::vector<double> added;
+      do {
+        const size_t chunk = std::min<size_t>(
+            size - added.size(),
+            static_cast<size_t>(rng.UniformInt(1, static_cast<int64_t>(size / 4 + 1))));
+        for (size_t i = 0; i < chunk; ++i) {
+          const double value = rng.Bernoulli(0.9)
+                                   ? 0.25 * static_cast<double>(rng.UniformInt(-40, 40))
+                                   : rng.Uniform(-100.0, 100.0);
+          stats.Add(value);
+          added.push_back(value);
+        }
+        switch (rng.UniformInt(0, 3)) {
+          case 0:
+            stats.min();
+            break;
+          case 1:
+            stats.max();
+            break;
+          case 2:
+            stats.Summarize();
+            break;
+          default:
+            break;
+        }
+        SampleStats reference;
+        reference.AddAll(added);
+        reference.Summarize();
+        const double got_min = stats.min();
+        const double want_min = reference.min();
+        const double got_max = stats.max();
+        const double want_max = reference.max();
+        EXPECT_EQ(std::memcmp(&got_min, &want_min, sizeof(double)), 0) << "n=" << added.size();
+        EXPECT_EQ(std::memcmp(&got_max, &want_max, sizeof(double)), 0) << "n=" << added.size();
+        for (const double q : kQs) {
+          const double got = stats.Percentile(q);
+          const double want = reference.Percentile(q);
+          EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+              << "n=" << added.size() << " q=" << q << ": " << got << " vs " << want;
+          ++compared;
+        }
+      } while (added.size() < size);
+    }
+  }
+  EXPECT_GT(compared, 500);
 }
 
 TEST(HistogramTest, BinningAndOverflow) {

@@ -17,39 +17,15 @@
 #include "laar/model/rates.h"
 #include "laar/strategy/activation_strategy.h"
 #include "laar/strategy/baselines.h"
+#include "byte_mutator.h"
 
 namespace laar {
 namespace {
 
 constexpr int kMutantsPerDocument = 4000;
 
-/// Applies one to three seeded byte edits to `text` (not empty). Most new
-/// bytes come from JSON's own alphabet, so that many mutants still parse.
-std::string Mutate(std::string text, Rng& rng) {
-  constexpr std::string_view kJsonBytes = "0123456789+-.eE\"{}[],:tfnul ";
-  const int64_t edits = rng.UniformInt(1, 3);
-  for (int64_t e = 0; e < edits && !text.empty(); ++e) {
-    const char byte =
-        rng.Bernoulli(0.75)
-            ? kJsonBytes[static_cast<size_t>(
-                  rng.UniformInt(0, static_cast<int64_t>(kJsonBytes.size()) - 1))]
-            : static_cast<char>(rng.UniformInt(0, 255));
-    const auto at = static_cast<size_t>(
-        rng.UniformInt(0, static_cast<int64_t>(text.size()) - 1));
-    switch (rng.UniformInt(0, 2)) {
-      case 0:
-        text[at] = byte;
-        break;
-      case 1:
-        text.insert(at, 1, byte);
-        break;
-      default:
-        text.erase(at, 1);
-        break;
-    }
-  }
-  return text;
-}
+/// JSON's own bytes, from which most mutants draw their new bytes.
+constexpr std::string_view kJsonBytes = "0123456789+-.eE\"{}[],:tfnul ";
 
 /// Passes `kMutantsPerDocument` mutants of `text` through Parse and
 /// `T::FromJson`, and checks that each accepted one round-trips. Returns
@@ -61,7 +37,7 @@ int CheckMutants(const std::string& text, uint64_t seed) {
   int broken = 0;
   std::string first_broken;
   for (int m = 0; m < kMutantsPerDocument; ++m) {
-    const std::string mutant = Mutate(text, rng);
+    const std::string mutant = Mutate(text, kJsonBytes, rng);
     Result<json::Value> doc = json::Parse(mutant);
     if (!doc.ok()) continue;
     Result<T> value = T::FromJson(*doc);

@@ -1,7 +1,15 @@
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "laar/common/rng.h"
 #include "laar/sim/simulator.h"
 
 namespace laar::sim {
@@ -234,6 +242,254 @@ TEST(SimulatorTest, AdvanceInlineAccountsLikeAnEvent) {
   // One scheduled event + two inline advances + one trailing event.
   EXPECT_EQ(simulator.events_processed(), 4u);
   EXPECT_DOUBLE_EQ(simulator.now(), 3.0);
+}
+
+// A seeded differential check of the firing contract against a plain
+// reference model: an ordered set of (when, sequence) keys with its own
+// sequence counter. Every ScheduleAt and every Reschedule that finds its
+// event draws the next sequence, times before now() clamp to now(), and the
+// least key fires next. Callbacks schedule on a coarse time grid (ties and
+// past times); cancel and reschedule random ids, fired ids and the id they
+// scheduled last, some of them twice; peek NextEventTime; and advance
+// inline. The driver mixes Step, RunUntil, RunBefore and the same
+// operations outside any callback. Every fire, every Cancel/Reschedule
+// result, and now(), events_processed() and pending_events() after each
+// operation must match the model.
+class FiringOrderModel {
+ public:
+  struct Coverage {
+    int cancels[2] = {0, 0};      ///< by expected result (false, true)
+    int reschedules[2] = {0, 0};  ///< by expected result (false, true)
+    int last_scheduled_hits = 0;  ///< pending targets scheduled just before
+    int repeats = 0;
+    int peeks = 0;
+    int advances = 0;
+  };
+
+  /// Runs until `max_fires` events fired, keeping at least `population`
+  /// pending until then.
+  FiringOrderModel(uint64_t seed, int max_fires, size_t population)
+      : rng_(seed), max_fires_(max_fires), population_(population) {}
+
+  void Run() {
+    for (int i = 0; i < 32; ++i) Schedule();
+    while (!pending_.empty() && mismatches_ == 0) {
+      const int64_t action = rng_.UniformInt(0, 3);
+      const SimTime end = now_ + kGrid * static_cast<double>(rng_.UniformInt(0, 8));
+      if (action == 0) {
+        Check(sim_.Step(), "Step with events pending");
+      } else if (action == 1) {
+        run_end_ = end;
+        sim_.RunUntil(end);
+        Check(pending_.empty() || std::get<0>(*pending_.begin()) > end,
+              "RunUntil left an event at or before its end");
+        now_ = std::max(now_, end);
+      } else if (action == 2) {
+        run_end_ = end;
+        run_end_inclusive_ = false;
+        sim_.RunBefore(end);
+        Check(pending_.empty() || std::get<0>(*pending_.begin()) >= end,
+              "RunBefore left an event before its end");
+        now_ = std::max(now_, end);
+      } else {
+        RandomOps(rng_.UniformInt(1, 3), /*fired=*/-1);
+      }
+      run_end_ = std::numeric_limits<SimTime>::infinity();
+      run_end_inclusive_ = true;
+      CheckCounters("driver");
+    }
+    Check(!sim_.Step(), "Step on an empty queue");
+    CheckCounters("end");
+  }
+
+  int fires() const { return fires_; }
+  int mismatches() const { return mismatches_; }
+  const std::string& first_mismatch() const { return first_mismatch_; }
+  const Coverage& coverage() const { return coverage_; }
+
+ private:
+  static constexpr double kGrid = 0.25;  // exact in binary, so ties are exact
+
+  struct Event {
+    EventId id = kInvalidEvent;
+    bool pending = false;
+    SimTime when = 0.0;
+    uint64_t sequence = 0;
+  };
+
+  void Check(bool ok, const char* what) {
+    if (ok) return;
+    if (mismatches_++ == 0) {
+      first_mismatch_ = std::string(what) + " (after " + std::to_string(fires_) + " fires)";
+    }
+  }
+
+  void CheckCounters(const char* where) {
+    Check(sim_.now() == now_, where);
+    Check(sim_.events_processed() == processed_, where);
+    Check(sim_.pending_events() == pending_.size(), where);
+  }
+
+  SimTime GridTime() { return now_ + kGrid * static_cast<double>(rng_.UniformInt(-2, 6)); }
+
+  void Insert(int token, SimTime when) {
+    Event& event = events_[static_cast<size_t>(token)];
+    event.pending = true;
+    event.when = std::max(when, now_);
+    event.sequence = next_sequence_++;
+    pending_.emplace(event.when, event.sequence, token);
+  }
+
+  void Erase(int token) {
+    Event& event = events_[static_cast<size_t>(token)];
+    pending_.erase({event.when, event.sequence, token});
+    event.pending = false;
+  }
+
+  void Schedule() {
+    const int token = static_cast<int>(events_.size());
+    const SimTime when = GridTime();
+    events_.push_back({});
+    events_.back().id = sim_.ScheduleAt(when, [this, token] { OnFire(token); });
+    Insert(token, when);
+    last_scheduled_ = token;
+  }
+
+  /// The id scheduled last, the firing event's own, a pending id, any id
+  /// ever issued, or kInvalidEvent (-1).
+  int PickTarget(int fired) {
+    const int64_t pick = rng_.UniformInt(0, 19);
+    if (pick < 6) return last_scheduled_;
+    if (pick < 8) return fired;
+    if (pick < 14 && !pending_.empty()) {
+      const auto skip = rng_.UniformInt(0, static_cast<int64_t>(pending_.size()) - 1);
+      return std::get<2>(*std::next(pending_.begin(), skip));
+    }
+    if (pick == 19 || events_.empty()) return -1;
+    return static_cast<int>(rng_.UniformInt(0, static_cast<int64_t>(events_.size()) - 1));
+  }
+
+  bool IsPending(int token) const {
+    return token >= 0 && events_[static_cast<size_t>(token)].pending;
+  }
+
+  EventId IdOf(int token) const {
+    return token < 0 ? kInvalidEvent : events_[static_cast<size_t>(token)].id;
+  }
+
+  void CancelOrReschedule(bool cancel, int fired) {
+    const int target = PickTarget(fired);
+    const int times = rng_.Bernoulli(0.25) ? 2 : 1;
+    coverage_.repeats += times - 1;
+    if (target >= 0 && target == last_scheduled_ && IsPending(target)) {
+      ++coverage_.last_scheduled_hits;
+    }
+    for (int i = 0; i < times; ++i) {
+      const bool expected = IsPending(target);
+      if (cancel) {
+        ++coverage_.cancels[expected];
+        Check(sim_.Cancel(IdOf(target)) == expected, "Cancel result");
+        if (expected) Erase(target);
+      } else {
+        ++coverage_.reschedules[expected];
+        const SimTime when = GridTime();
+        Check(sim_.Reschedule(IdOf(target), when) == expected, "Reschedule result");
+        if (expected) {
+          Erase(target);
+          Insert(target, when);
+        }
+      }
+    }
+  }
+
+  void RandomOps(int64_t count, int fired) {
+    if (pending_.size() < population_ && fires_ < max_fires_) Schedule();
+    for (int64_t i = 0; i < count; ++i) {
+      const int64_t op = rng_.UniformInt(0, 9);
+      if (op < 4) {
+        if (fires_ < max_fires_) Schedule();
+      } else if (op < 6) {
+        CancelOrReschedule(/*cancel=*/true, fired);
+      } else if (op < 8) {
+        CancelOrReschedule(/*cancel=*/false, fired);
+      } else if (op == 8 || fired < 0) {
+        ++coverage_.peeks;
+        SimTime when = -1.0;
+        const bool found = sim_.NextEventTime(&when);
+        Check(found == !pending_.empty(), "NextEventTime result");
+        if (found && !pending_.empty()) {
+          Check(when == std::get<0>(*pending_.begin()), "NextEventTime time");
+        }
+      } else {
+        // Inline work may not overtake the earliest pending event.
+        ++coverage_.advances;
+        const int64_t room =
+            pending_.empty()
+                ? 4
+                : static_cast<int64_t>((std::get<0>(*pending_.begin()) - now_) / kGrid) - 1;
+        now_ += kGrid * static_cast<double>(rng_.UniformInt(0, std::max<int64_t>(0, room)));
+        sim_.AdvanceInline(now_);
+        ++processed_;
+      }
+      CheckCounters("operation");
+    }
+  }
+
+  void OnFire(int token) {
+    ++fires_;
+    if (pending_.empty()) {
+      Check(false, "an event fired with none pending");
+      return;
+    }
+    const auto [when, sequence, expected] = *pending_.begin();
+    Check(token == expected, "firing order");
+    Check(run_end_inclusive_ ? when <= run_end_ : when < run_end_, "fired past the run's end");
+    Erase(expected);
+    now_ = when;
+    ++processed_;
+    CheckCounters("fire");
+    last_scheduled_ = -1;
+    RandomOps(rng_.UniformInt(1, 4), token);
+  }
+
+  Simulator sim_;
+  Rng rng_;
+  int max_fires_;
+  size_t population_;
+  std::set<std::tuple<SimTime, uint64_t, int>> pending_;
+  std::vector<Event> events_;  // indexed by token
+  uint64_t next_sequence_ = 1;
+  SimTime now_ = 0.0;
+  uint64_t processed_ = 0;
+  // The end of the RunUntil (inclusive) or RunBefore call in progress.
+  SimTime run_end_ = std::numeric_limits<SimTime>::infinity();
+  bool run_end_inclusive_ = true;
+  int last_scheduled_ = -1;
+  int fires_ = 0;
+  int mismatches_ = 0;
+  std::string first_mismatch_;
+  Coverage coverage_;
+};
+
+TEST(SimulatorTest, FiringOrderMatchesReferenceModel) {
+  constexpr int kMaxFires = 40000;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    // 16 to 128 pending events: heaps two to four 4-ary levels deep.
+    FiringOrderModel model(seed, kMaxFires, size_t{16} << (seed % 4));
+    model.Run();
+    EXPECT_EQ(model.mismatches(), 0) << "seed " << seed << ": " << model.first_mismatch();
+    EXPECT_GE(model.fires(), kMaxFires) << "seed " << seed;
+    // Every branch of the contract ran often enough to matter.
+    const FiringOrderModel::Coverage& c = model.coverage();
+    for (int result = 0; result < 2; ++result) {
+      EXPECT_GT(c.cancels[result], 2000) << "seed " << seed;
+      EXPECT_GT(c.reschedules[result], 2000) << "seed " << seed;
+    }
+    EXPECT_GT(c.last_scheduled_hits, 2000) << "seed " << seed;
+    EXPECT_GT(c.repeats, 2000) << "seed " << seed;
+    EXPECT_GT(c.peeks, 2000) << "seed " << seed;
+    EXPECT_GT(c.advances, 2000) << "seed " << seed;
+  }
 }
 
 // Steady-state churn must recycle pooled slots instead of growing the

@@ -67,6 +67,30 @@ application units {
   EXPECT_DOUBLE_EQ(app->graph.edges()[1].cpu_cost_cycles, 2e6);
   EXPECT_DOUBLE_EQ(app->graph.edges()[2].cpu_cost_cycles, 3e3);
   EXPECT_DOUBLE_EQ(app->graph.edges()[3].cpu_cost_cycles, 42.0);
+
+  // A unit glued to an exponent literal is the letters after the literal,
+  // not every letter of the token ("1e3ms" is not unit "ems").
+  const char* exponents = R"(
+application exponents {
+  source s { rate only = 1 @ 1.0; }
+  pe a; pe b; pe c; pe d; pe e;
+  sink k;
+  stream s -> a [cost = 1e3ms];
+  stream a -> b [cost = 1000ms];
+  stream b -> c [cost = 2.5e-3s];
+  stream c -> d [cost = 2.5ms];
+  stream d -> e [cost = 2e6cycles];
+  stream e -> k;
+}
+)";
+  Result<model::ApplicationDescriptor> glued = ParseApplication(exponents);
+  ASSERT_TRUE(glued.ok()) << glued.status().ToString();
+  const auto& edges = glued->graph.edges();
+  EXPECT_EQ(edges[0].cpu_cost_cycles, edges[1].cpu_cost_cycles);
+  EXPECT_EQ(edges[2].cpu_cost_cycles, edges[3].cpu_cost_cycles);
+  EXPECT_DOUBLE_EQ(edges[0].cpu_cost_cycles, 1e9);
+  EXPECT_DOUBLE_EQ(edges[2].cpu_cost_cycles, 2.5e6);
+  EXPECT_DOUBLE_EQ(edges[4].cpu_cost_cycles, 2e6);
 }
 
 TEST(SplParserTest, MultiSourceFanIn) {
