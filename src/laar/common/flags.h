@@ -64,6 +64,19 @@ class Flags {
   }
   bool Has(const std::string& name) const { return Read(name, std::monostate{}) != nullptr; }
 
+  /// The numeric getters' parse, for numbers a binary finds inside a flag's
+  /// value (the `H@T+D` entries of laar_simulate's `--crash-schedule`):
+  /// true when all of `text` is one T in range, and finite for a
+  /// floating-point T. No blanks, no leading '+', no suffix; not `nan`.
+  template <typename T>
+  static bool ParseNumber(std::string_view text, T* out) {
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+    if (ec != std::errc() || ptr != end) return false;
+    if constexpr (std::is_floating_point_v<T>) return std::isfinite(*out);
+    return true;
+  }
+
   /// Takes the arguments that do not start with `--`, in order.
   const std::vector<std::string>& positional() {
     positional_taken_ = true;
@@ -136,6 +149,8 @@ class Flags {
   template <typename T>
   static T Parse(const std::string& name, const std::string& value, const char* expected) {
     T result{};
+    if (ParseNumber(value, &result)) return result;
+    // Rejected: re-parse only to say why.
     const char* end = value.data() + value.size();
     const auto [ptr, ec] = std::from_chars(value.data(), end, result);
     if constexpr (std::is_integral_v<T>) {
@@ -149,8 +164,7 @@ class Flags {
                (ec == std::errc() && !std::isfinite(result))) {
       Reject(name, value, "a finite number");
     }
-    if (ec != std::errc() || ptr != end) Reject(name, value, expected);
-    return result;
+    Reject(name, value, expected);
   }
 
   [[noreturn]] static void Reject(const std::string& name, const std::string& value,

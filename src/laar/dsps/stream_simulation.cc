@@ -114,6 +114,17 @@ class TupleRing {
   size_t size_ = 0;
 };
 
+/// Turns a counting pass's per-key histogram into each key's first output
+/// slot (an exclusive prefix sum), in place.
+void CountsToOffsets(std::vector<uint32_t>* counts) {
+  uint32_t next = 0;
+  for (uint32_t& count : *counts) {
+    const uint32_t here = count;
+    count = next;
+    next += here;
+  }
+}
+
 }  // namespace
 
 /// One bounded input queue of a replica, fed by a single upstream component
@@ -176,11 +187,6 @@ struct StreamSimulation::HostState {
   std::vector<Replica*> busy;
   sim::SimTime last_advance = 0.0;
 
-  /// Windowed engine: sequence number of the next tuple this host puts on
-  /// the network; (src_host, net_seq) is the unique, partition-invariant
-  /// identity delivery order is keyed on.
-  uint64_t net_seq = 0;
-
   /// The host's single service event, kept alive across busy-set changes
   /// and moved in place with Simulator::Reschedule; `completion_target` is
   /// its payload (the replica whose completion the event realizes).
@@ -203,9 +209,8 @@ struct StreamSimulation::SourceState {
   std::vector<Output> outputs;
 
   /// Windowed engine: sources are pseudo-hosts `num_hosts + source_index`
-  /// on the network, with their own sequence counter and owning shard.
+  /// on the network, with their own owning shard.
   int32_t net_host = -1;
-  uint64_t net_seq = 0;
   int shard = 0;
 };
 
@@ -214,11 +219,12 @@ struct StreamSimulation::SourceState {
 /// is due — delivered on the destination shard — at barrier `w + 1 + f`:
 /// between `f` and `f + 1` link latencies after emission. The uniform
 /// topology (every factor 1) reproduces the historical double-buffer
-/// schedule exactly (due `w + 2`).
+/// schedule exactly (due `w + 2`). A message carries no sequence number:
+/// its place in its source host's emission order is its place among that
+/// host's messages in every outbox and due bucket (see DrainDue).
 struct StreamSimulation::NetMessage {
   model::HostId dst_host = model::kInvalidHost;
   int32_t src_host = -1;  // emitting host, or a source's pseudo-host id
-  uint64_t src_seq = 0;   // emitting host's net_seq for this tuple
   model::ComponentId to = model::kInvalidComponent;
   int replica = 0;
   int port = -1;
@@ -227,12 +233,11 @@ struct StreamSimulation::NetMessage {
 };
 
 /// A tuple headed for a sink. Sinks are external, so arrivals are applied
-/// by the coordinator at window-barrier closures, replayed in
-/// (src_host, src_seq) order — sink-latency accumulation is
-/// FP-order-sensitive, and this order is the partition-invariant one.
+/// by the coordinator at window-barrier closures, replayed in (src_host,
+/// emission) order — sink-latency accumulation is FP-order-sensitive, and
+/// this order is the partition-invariant one.
 struct StreamSimulation::SinkMessage {
   int32_t src_host = -1;
-  uint64_t src_seq = 0;
   sim::SimTime birth = 0.0;
   uint64_t due = 0;  // barrier index the arrival is replayed at
 };
@@ -272,9 +277,17 @@ struct StreamSimulation::Shard {
   sim::SimTime phase_end = 0.0;  ///< end of the running slice (sources park here)
 
   // Inbound messages keyed by due barrier (a map, not a ring: a topology
-  // latency factor puts a due that many windows out). Drained — sorted and
-  // delivered — when the window opening at that barrier starts.
+  // latency factor puts a due that many windows out). Drained — ordered and
+  // delivered — when the window opening at that barrier starts. Each
+  // bucket holds every source host's messages in emission order (see
+  // DrainDue).
   std::map<uint64_t, std::vector<NetMessage>> pending;
+  // DrainDue's counting-pass scratch, kept across drains: the src_host and
+  // dst_host histograms, and the batch's index permutation after each pass.
+  std::vector<uint32_t> src_counts;
+  std::vector<uint32_t> dst_counts;
+  std::vector<uint32_t> by_src;
+  std::vector<uint32_t> delivery_order;
   // Current-window emissions per destination shard. Sealed at each barrier
   // crossing: own-shard segments append straight into `pending`, cross-shard
   // segments queue in `sealed` for the coordinator to move at round end.
@@ -620,8 +633,11 @@ Status StreamSimulation::ScheduleHostCrash(model::HostId host, sim::SimTime at,
   if (host < 0 || static_cast<size_t>(host) >= hosts_.size()) {
     return Status::InvalidArgument(StrFormat("unknown host %d", host));
   }
-  if (at < 0.0 || duration <= 0.0) {
-    return Status::InvalidArgument("crash time must be >= 0 with positive duration");
+  // Finite first: a NaN passes both comparisons below, and a NaN-keyed
+  // crash at the heap root would stop the run before its first event.
+  if (!std::isfinite(at) || !std::isfinite(duration) || at < 0.0 || duration <= 0.0) {
+    return Status::InvalidArgument(
+        "crash time must be finite and >= 0 with a finite positive duration");
   }
   simulator_.ScheduleAt(at, [this, host, duration] { CrashHost(host, duration); });
   return Status::OK();
@@ -978,33 +994,45 @@ void StreamSimulation::DrainDue(Shard* shard, uint64_t barrier) {
   auto it = shard->pending.find(barrier);
   if (it == shard->pending.end()) return;
   std::vector<NetMessage>& batch = it->second;
-  // (dst_host, src_host, src_seq) is unique per message and independent of
-  // the partition, so this sort fixes one delivery order for all shard
-  // counts. Deliveries to different hosts touch
-  // disjoint state; per (src_host, dst_host) pair the order is emission
-  // order.
-  std::sort(batch.begin(), batch.end(),
-            [](const NetMessage& a, const NetMessage& b) {
-              if (a.dst_host != b.dst_host) return a.dst_host < b.dst_host;
-              if (a.src_host != b.src_host) return a.src_host < b.src_host;
-              return a.src_seq < b.src_seq;
-            });
+  // Delivery order is (dst_host, src_host, emission order): it ranks every
+  // message and does not depend on the partition, so it fixes one order
+  // for all shard counts. Deliveries to different hosts touch disjoint
+  // state; per (src_host, dst_host) pair the order is emission order. The
+  // bucket already holds each source host's messages in emission order: an
+  // outbox is in emission order, buckets fill window by window, and a
+  // host's messages reach this shard by one path only (the shard's own seal
+  // or the coordinator's move). So two stable counting passes over host ids
+  // — src_host, then dst_host — give that order as an index permutation;
+  // the messages never move.
+  const uint32_t n = static_cast<uint32_t>(batch.size());
+  shard->src_counts.assign(shard_of_host_.size(), 0);
+  shard->dst_counts.assign(hosts_.size(), 0);
+  for (const NetMessage& msg : batch) {
+    ++shard->src_counts[static_cast<size_t>(msg.src_host)];
+    ++shard->dst_counts[static_cast<size_t>(msg.dst_host)];
+  }
   if (profiling_) {
     // Conservative-window efficiency: how deep a due batch gets, both per
-    // shard and for the single busiest destination host (the sorted batch
-    // groups by dst_host, so the longest run is one linear scan). Both are
-    // deterministic; the per-host maximum is also partition-invariant.
-    shard->prof_max_inbox =
-        std::max(shard->prof_max_inbox, static_cast<uint64_t>(batch.size()));
-    uint64_t run = 0;
-    int32_t prev_host = -1;
-    for (const NetMessage& msg : batch) {
-      run = msg.dst_host == prev_host ? run + 1 : 1;
-      prev_host = msg.dst_host;
-      shard->prof_max_host_inbox = std::max(shard->prof_max_host_inbox, run);
+    // shard and for the single busiest destination host (its dst_host
+    // count). Both are deterministic; the per-host maximum is also
+    // partition-invariant.
+    shard->prof_max_inbox = std::max(shard->prof_max_inbox, static_cast<uint64_t>(n));
+    for (uint32_t count : shard->dst_counts) {
+      shard->prof_max_host_inbox = std::max<uint64_t>(shard->prof_max_host_inbox, count);
     }
   }
-  for (const NetMessage& msg : batch) {
+  CountsToOffsets(&shard->src_counts);
+  CountsToOffsets(&shard->dst_counts);
+  shard->by_src.resize(n);
+  shard->delivery_order.resize(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    shard->by_src[shard->src_counts[static_cast<size_t>(batch[i].src_host)]++] = i;
+  }
+  for (uint32_t i : shard->by_src) {
+    shard->delivery_order[shard->dst_counts[static_cast<size_t>(batch[i].dst_host)]++] = i;
+  }
+  for (uint32_t i : shard->delivery_order) {
+    const NetMessage& msg = batch[i];
     Replica& target =
         pes_[static_cast<size_t>(msg.to)]->replicas[static_cast<size_t>(msg.replica)];
     DeliverToReplica(&target, msg.port, msg.birth, /*span=*/0);
@@ -1053,9 +1081,11 @@ void StreamSimulation::SealWindow(Shard* shard) {
 
 void StreamSimulation::CloseBarrier(uint64_t index, sim::SimTime stop) {
   // Sink arrivals due at this barrier. Replay order must be fixed across
-  // partitions because sink-latency accumulation is
-  // FP-order sensitive; (src_host, src_seq) is unique and
-  // partition-invariant.
+  // partitions because sink-latency accumulation is FP-order sensitive;
+  // (src_host, emission order) ranks every arrival and is
+  // partition-invariant. Every host's arrivals sit in one shard's queue, in
+  // emission order, so one stable counting pass on src_host over the
+  // concatenated due prefixes gives that order.
   sink_scratch_.clear();
   for (auto& shard : shards_) {
     std::vector<SinkMessage>& sealed = shard->sink_sealed;
@@ -1064,15 +1094,19 @@ void StreamSimulation::CloseBarrier(uint64_t index, sim::SimTime stop) {
     sink_scratch_.insert(sink_scratch_.end(), sealed.begin(), replayed);
     sealed.erase(sealed.begin(), replayed);
   }
-  std::sort(sink_scratch_.begin(), sink_scratch_.end(),
-            [](const SinkMessage& a, const SinkMessage& b) {
-              if (a.src_host != b.src_host) return a.src_host < b.src_host;
-              return a.src_seq < b.src_seq;
-            });
+  sink_counts_.assign(shard_of_host_.size(), 0);
   for (const SinkMessage& msg : sink_scratch_) {
+    ++sink_counts_[static_cast<size_t>(msg.src_host)];
+  }
+  CountsToOffsets(&sink_counts_);
+  sink_births_.resize(sink_scratch_.size());
+  for (const SinkMessage& msg : sink_scratch_) {
+    sink_births_[sink_counts_[static_cast<size_t>(msg.src_host)]++] = msg.birth;
+  }
+  for (const sim::SimTime birth : sink_births_) {
     ++metrics_.sink_tuples;
     metrics_.sink_series[BucketOf(stop)] += 1.0;
-    if (options_.record_latency) metrics_.sink_latency.Add(stop - msg.birth);
+    if (options_.record_latency) metrics_.sink_latency.Add(stop - birth);
   }
   if (profiling_) {
     options_.profiler->RecordBarrierSinkTuples(sink_scratch_.size());
@@ -1200,13 +1234,13 @@ void StreamSimulation::WindowedSourceEmit(SourceState* source) {
     for (const Output& output : source->outputs) {
       if (output.is_sink) {
         shard.sink_sealed.push_back(
-            SinkMessage{source->net_host, ++source->net_seq, t, due});
+            SinkMessage{source->net_host, t, due});
       } else {
         PeState* downstream = pes_[static_cast<size_t>(output.to)].get();
         for (Replica& target : downstream->replicas) {
           shard.outbox[static_cast<size_t>(shard_of_host_[static_cast<size_t>(target.host)])]
-              .push_back(NetMessage{target.host, source->net_host, ++source->net_seq,
-                                    output.to, target.index, output.port_index, t, due});
+              .push_back(NetMessage{target.host, source->net_host, output.to,
+                                    target.index, output.port_index, t, due});
         }
       }
     }
@@ -1519,7 +1553,6 @@ void StreamSimulation::EmitFrom(Replica* replica, int count, sim::SimTime birth,
   PeState* pe = pes_[static_cast<size_t>(replica->pe_id)].get();
   Shard& acc = AccOfHost(replica->host);
   const sim::SimTime now = SimOfHost(replica->host).now();
-  HostState* host = hosts_[static_cast<size_t>(replica->host)].get();
   for (const Output& output : pe->outputs) {
     for (int i = 0; i < count; ++i) {
       if (output.is_sink) {
@@ -1527,8 +1560,8 @@ void StreamSimulation::EmitFrom(Replica* replica, int count, sim::SimTime birth,
           // Sinks are off-host: the arrival is applied by the coordinator
           // at the delivery barrier, one to two link latencies from now
           // (sinks are external, so they always ride a factor-1 link).
-          acc.sink_sealed.push_back(SinkMessage{replica->host, ++host->net_seq, birth,
-                                                acc.window_index + 2});
+          acc.sink_sealed.push_back(
+              SinkMessage{replica->host, birth, acc.window_index + 2});
           continue;
         }
         ++metrics_.sink_tuples;
@@ -1570,9 +1603,8 @@ void StreamSimulation::EmitFrom(Replica* replica, int count, sim::SimTime birth,
             }
             acc.outbox[static_cast<size_t>(
                            shard_of_host_[static_cast<size_t>(target.host)])]
-                .push_back(NetMessage{target.host, replica->host, ++host->net_seq,
-                                      output.to, target.index, output.port_index,
-                                      birth, due});
+                .push_back(NetMessage{target.host, replica->host, output.to,
+                                      target.index, output.port_index, birth, due});
           } else {
             DeliverToReplica(&target, output.port_index, birth, child);
           }

@@ -150,7 +150,7 @@ class StreamSimulation {
   void RunShardSlice(int s, uint64_t target_barrier, sim::SimTime target_time,
                      bool final_round);
   /// Delivers the shard's messages due at `barrier` in canonical
-  /// (dst_host, src_host, src_seq) order; runs at the start of the window
+  /// (dst_host, src_host, emission) order; runs at the start of the window
   /// opening at that barrier (after the barrier's control actions).
   void DrainDue(Shard* shard, uint64_t barrier);
   /// Seals the window that just crossed: the shard's outbox segments are
@@ -226,7 +226,9 @@ class StreamSimulation {
   /// factor differs from 1 (uniform runs never touch it).
   std::vector<uint32_t> host_pair_factor_;
   std::vector<SinkMessage> sink_scratch_;         // barrier working sets,
-  std::vector<obs::TraceEvent> trace_scratch_;    //   reused across barriers
+  std::vector<uint32_t> sink_counts_;             //   reused across barriers:
+  std::vector<sim::SimTime> sink_births_;         //   sink replay order and
+  std::vector<obs::TraceEvent> trace_scratch_;    //   the trace merge
 
   std::unique_ptr<TelemetryState> telemetry_;  // null unless options_.telemetry
   model::ConfigId applied_config_ = 0;

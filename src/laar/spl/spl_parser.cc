@@ -231,6 +231,28 @@ class Parser {
     return tokens_[pos_++];
   }
 
+  /// A number that takes no unit: only `cost` reads one, so a unit glued to
+  /// any other number is an error rather than dropped.
+  Result<double> ExpectUnitlessNumber(const char* what) {
+    if (AtKind(TokenKind::kNumber) && !UnitOf(Peek()).empty()) {
+      return Error(StrFormat("%s takes no unit, got '%s'", what, UnitOf(Peek()).c_str()));
+    }
+    LAAR_ASSIGN_OR_RETURN(Token token, ExpectNumber(what));
+    return token.number;
+  }
+
+  /// "100ms" tokenizes as number 100 with text "100ms": the unit is the run
+  /// of letters after the numeric literal. A literal ends in a digit or a
+  /// '.', so its exponent's 'e' ("1e3ms") never joins that run.
+  static std::string UnitOf(const Token& token) {
+    size_t unit_start = token.text.size();
+    while (unit_start > 0 &&
+           std::isalpha(static_cast<unsigned char>(token.text[unit_start - 1]))) {
+      --unit_start;
+    }
+    return token.text.substr(unit_start);
+  }
+
   Result<model::ComponentId> Declare(const std::string& id, model::ComponentKind kind) {
     if (components_.count(id) != 0) {
       return Error(StrFormat("'%s' is already declared", id.c_str()));
@@ -262,13 +284,13 @@ class Parser {
       LAAR_RETURN_IF_ERROR(ExpectKeyword("rate"));
       LAAR_ASSIGN_OR_RETURN(std::string label, ExpectIdentifier("rate label"));
       LAAR_RETURN_IF_ERROR(Expect(TokenKind::kEquals, "'='"));
-      LAAR_ASSIGN_OR_RETURN(Token rate, ExpectNumber("tuple rate"));
+      LAAR_ASSIGN_OR_RETURN(double rate, ExpectUnitlessNumber("tuple rate"));
       LAAR_RETURN_IF_ERROR(Expect(TokenKind::kAt, "'@'"));
-      LAAR_ASSIGN_OR_RETURN(Token probability, ExpectNumber("probability"));
+      LAAR_ASSIGN_OR_RETURN(double probability, ExpectUnitlessNumber("probability"));
       LAAR_RETURN_IF_ERROR(Expect(TokenKind::kSemicolon, "';'"));
       rates.labels.push_back(std::move(label));
-      rates.rates.push_back(rate.number);
-      rates.probabilities.push_back(probability.number);
+      rates.rates.push_back(rate);
+      rates.probabilities.push_back(probability);
     }
     LAAR_RETURN_IF_ERROR(Expect(TokenKind::kRBrace, "'}'"));
     if (rates.rates.empty()) {
@@ -291,15 +313,7 @@ class Parser {
   }
 
   Result<double> ParseCost(const Token& token) {
-    // "100ms" tokenizes as number 100 with text "100ms": the unit is the
-    // run of letters after the numeric literal. A literal ends in a digit or
-    // a '.', so its exponent's 'e' ("1e3ms") never joins that run.
-    size_t unit_start = token.text.size();
-    while (unit_start > 0 &&
-           std::isalpha(static_cast<unsigned char>(token.text[unit_start - 1]))) {
-      --unit_start;
-    }
-    const std::string unit = token.text.substr(unit_start);
+    const std::string unit = UnitOf(token);
     constexpr double kReferenceHz = 1e9;  // 1 GHz reference core
     if (unit.empty() || unit == "cycles") return token.number;
     if (unit == "ms") return token.number * 1e-3 * kReferenceHz;
@@ -329,10 +343,10 @@ class Parser {
         LAAR_ASSIGN_OR_RETURN(std::string attribute,
                               ExpectIdentifier("edge attribute name"));
         LAAR_RETURN_IF_ERROR(Expect(TokenKind::kEquals, "'='"));
-        LAAR_ASSIGN_OR_RETURN(Token value, ExpectNumber("attribute value"));
         if (attribute == "selectivity") {
-          selectivity = value.number;
+          LAAR_ASSIGN_OR_RETURN(selectivity, ExpectUnitlessNumber("selectivity"));
         } else if (attribute == "cost") {
+          LAAR_ASSIGN_OR_RETURN(Token value, ExpectNumber("cost"));
           LAAR_ASSIGN_OR_RETURN(cost, ParseCost(value));
         } else {
           return Error(StrFormat("unknown edge attribute '%s'", attribute.c_str()));

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -250,6 +251,30 @@ TEST(StreamSimulationTest, HostCrashDipsOutputThenRecovers) {
   EXPECT_LT(during, 0.5);       // the only active replicas are dead
   EXPECT_NEAR(after, 2.0, 0.3); // recovered
   EXPECT_GT(m.sink_tuples, 0u);
+}
+
+TEST(StreamSimulationTest, ScheduleHostCrashRejectsNonFiniteTimes) {
+  // A NaN start passes `at < 0` and, keyed at the heap root, would stop the
+  // run before its first event; a NaN or infinite duration would make the
+  // outage last zero seconds or forever. All fail at scheduling instead.
+  Fixture f(/*low=*/2.0, /*high=*/4.0);
+  auto trace = InputTrace::Step(0, 1, 200.0, 300.0);
+  ASSERT_TRUE(trace.ok());
+  RuntimeOptions options;
+  ActivationStrategy nr = f.SingleReplica();
+  StreamSimulation simulation(f.app, f.cluster, f.placement, nr, *trace, options);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(simulation.ScheduleHostCrash(0, nan, 8.0).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(simulation.ScheduleHostCrash(0, inf, 8.0).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(simulation.ScheduleHostCrash(0, 10.0, nan).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(simulation.ScheduleHostCrash(0, 10.0, inf).code(), StatusCode::kInvalidArgument);
+  // Nothing was scheduled: the run is the failure-free one.
+  ASSERT_TRUE(simulation.Run().ok());
+  const SimulationMetrics& m = simulation.metrics();
+  EXPECT_GT(m.source_tuples, 0u);
+  EXPECT_EQ(m.crash_lost_tuples, 0u);
+  EXPECT_GE(m.sink_tuples, m.source_tuples - 4);
 }
 
 TEST(StreamSimulationTest, OverlappingCrashWindowsDoNotReviveEarly) {

@@ -93,6 +93,46 @@ application exponents {
   EXPECT_DOUBLE_EQ(edges[4].cpu_cost_cycles, 2e6);
 }
 
+TEST(SplParserTest, UnitsOnlyOnCost) {
+  // Only `cost` reads a unit; one glued to a rate, a probability or a
+  // selectivity is an error that names it, never silently dropped.
+  struct Probe {
+    const char* text;
+    const char* unit;
+  };
+  const Probe probes[] = {
+      {R"(application x {
+  source s { rate only = 4hz @ 1.0; }
+  pe a; sink k;
+  stream s -> a [cost = 1ms];
+  stream a -> k;
+})",
+       "'hz'"},
+      {R"(application x {
+  source s { rate only = 4 @ 1.0kg; }
+  pe a; sink k;
+  stream s -> a [cost = 1ms];
+  stream a -> k;
+})",
+       "'kg'"},
+      {R"(application x {
+  source s { rate only = 4 @ 1.0; }
+  pe a; sink k;
+  stream s -> a [selectivity = 0.5ms, cost = 1ms];
+  stream a -> k;
+})",
+       "'ms'"},
+  };
+  for (const Probe& probe : probes) {
+    Result<model::ApplicationDescriptor> app = ParseApplication(probe.text);
+    ASSERT_FALSE(app.ok()) << probe.text;
+    EXPECT_NE(app.status().message().find(probe.unit), std::string::npos)
+        << app.status().ToString();
+    EXPECT_NE(app.status().message().find("takes no unit"), std::string::npos)
+        << app.status().ToString();
+  }
+}
+
 TEST(SplParserTest, MultiSourceFanIn) {
   const char* text = R"(
 application fan {

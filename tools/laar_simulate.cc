@@ -71,6 +71,7 @@
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "laar/common/flags.h"
@@ -198,21 +199,31 @@ int main(int argc, char** argv) {
     }
   }
   // Comma-separated `H@T+D` entries; overlapping windows are legal and
-  // merge inside the simulation.
+  // merge inside the simulation. Each number is parsed as a numeric flag
+  // value is, so `nan`, `inf` and blanks are rejected here, and so is the
+  // empty entry after a trailing comma.
   const bool has_schedule = flags.Has("crash-schedule");
   const std::string schedule = flags.GetString("crash-schedule", "");
   std::vector<HostCrash> scheduled_crashes;
-  for (size_t begin = 0; begin < schedule.size();) {
+  for (size_t begin = 0; !schedule.empty() && begin <= schedule.size();) {
     size_t end = schedule.find(',', begin);
     if (end == std::string::npos) end = schedule.size();
-    const std::string entry = schedule.substr(begin, end - begin);
+    const std::string_view entry = std::string_view(schedule).substr(begin, end - begin);
+    // The '+' that ends T is the first one after '@' that is not an
+    // exponent's sign.
+    const size_t at_sign = entry.find('@');
+    size_t plus = at_sign == std::string_view::npos ? at_sign : entry.find('+', at_sign + 1);
+    while (plus != std::string_view::npos &&
+           (entry[plus - 1] == 'e' || entry[plus - 1] == 'E')) {
+      plus = entry.find('+', plus + 1);
+    }
     HostCrash crash;
-    int consumed = -1;
-    if (std::sscanf(entry.c_str(), "%d@%lf+%lf%n", &crash.host, &crash.at, &crash.duration,
-                    &consumed) != 3 ||
-        consumed != static_cast<int>(entry.size())) {
-      std::fprintf(stderr, "cannot parse --crash-schedule entry '%s' (want H@T+D)\n",
-                   entry.c_str());
+    if (plus == std::string_view::npos ||
+        !laar::Flags::ParseNumber(entry.substr(0, at_sign), &crash.host) ||
+        !laar::Flags::ParseNumber(entry.substr(at_sign + 1, plus - at_sign - 1), &crash.at) ||
+        !laar::Flags::ParseNumber(entry.substr(plus + 1), &crash.duration)) {
+      std::fprintf(stderr, "cannot parse --crash-schedule entry '%.*s' (want H@T+D)\n",
+                   static_cast<int>(entry.size()), entry.data());
       return 2;
     }
     scheduled_crashes.push_back(crash);

@@ -23,7 +23,8 @@
 #    corpus + observability publishing, sharded DES engine) under
 #    ThreadSanitizer and runs them, plus the two --jobs-invariance cases
 #    of corpus_test (its simulation tasks write into shared records from
-#    several threads).
+#    several threads) and determinism_test's windowed goldens (2 and 4
+#    shards on worker threads).
 #
 # Any failing step aborts the script with a non-zero exit.
 set -eu
@@ -138,11 +139,14 @@ sharded_sim --shards=4 \
 "./$BUILD_DIR/tools/laar_trace" diff "$SMOKE_DIR/profile.s1.json" \
     "$SMOKE_DIR/profile.s4.json" >/dev/null
 
-echo "== [6/6] TSan: exec_test + obs_test + sharded_sim_test + corpus_test (${TSAN_DIR}) =="
+echo "== [6/6] TSan: exec_test + obs_test + sharded_sim_test + corpus_test + determinism_test (${TSAN_DIR}) =="
 cmake -B "$TSAN_DIR" -S . -DLAAR_SANITIZE=thread >/dev/null
-cmake --build "$TSAN_DIR" -j "$JOBS" --target exec_test obs_test sharded_sim_test corpus_test
+cmake --build "$TSAN_DIR" -j "$JOBS" \
+    --target exec_test obs_test sharded_sim_test corpus_test determinism_test
 ctest --test-dir "$TSAN_DIR" -R 'exec_test|obs_test|sharded_sim_test' --output-on-failure
 "./$TSAN_DIR/tests/corpus_test" \
     --gtest_filter=CorpusTest.ParallelRunsProduceIdenticalRecords:CorpusTest.DomainOutageRecordsAndTracesAreJobsInvariant
+"./$TSAN_DIR/tests/determinism_test" \
+    --gtest_filter=DeterminismTest.WindowedOutputsMatchGoldensAtEveryShardCount
 
 echo "ok: all checks passed"
